@@ -65,7 +65,8 @@ def run_query(
             if want_witness and result.coverable:
                 try:
                     witness = rbn_witness(spec, target, result.trace)
-                except WitnessExtractionFailed:
+                except (WitnessExtractionFailed, ResourceExhausted):
+                    # the verdict is decided; only the search for a run gave up
                     witness = None
         elif query.semantics == "diam-deg":
             k, d, n_max = query.params
@@ -91,8 +92,9 @@ def run_query(
                     witness = static_witness_run(spec, verdict_obj, cls)
                 except RuntimeError:
                     witness = None
-    except ResourceExhausted:
+    except ResourceExhausted as exc:
         verdict = VERDICT_EXHAUSTED
+        iterations, basis_size = exc.iterations, exc.basis_size
     elapsed = time.perf_counter() - started
     return QueryReport(
         index=index,

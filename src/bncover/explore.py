@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .graphs import (
-    Graph,
     LabelledGraph,
     Reconfigurable,
     TopologyClass,
     enumerate_graphs,
-    graph_injections,
     in_class,
 )
 from .order import ResourceExhausted
@@ -201,7 +199,7 @@ def _explore_rewirable(spec, n, depth, target, cap, receive_letters, max_states)
                 if succ in parents:
                     continue
                 if len(parents) >= max_states:
-                    raise ResourceExhausted("state budget hit", len(parents), n)
+                    raise ResourceExhausted(f"state budget hit: {len(parents)} states on {n} nodes")
                 parents[succ] = (ms, info)
                 if covers(succ):
                     return _rewirable_run(spec, succ, parents)
@@ -283,10 +281,6 @@ def _rewirable_run(spec, final_ms, parents) -> Run:
     return tuple(steps)
 
 
-def _automorphisms(shape: Graph) -> tuple[tuple[int, ...], ...]:
-    return tuple(graph_injections(shape, shape))
-
-
 def _explore_static(spec, cls, n, depth, target, cap, max_states):
     tle = leq(spec)
     letters = list(spec.alphabet)
@@ -294,7 +288,7 @@ def _explore_static(spec, cls, n, depth, target, cap, max_states):
     shapes = [g for g in enumerate_graphs(n) if in_class(g, cls)]
 
     for shape in shapes:
-        autos = _automorphisms(shape)
+        autos = shape.automorphisms()
 
         def canon(labels: tuple) -> tuple:
             return min(
@@ -313,14 +307,14 @@ def _explore_static(spec, cls, n, depth, target, cap, max_states):
                 continue
             parents[key] = (None, labels)
             if covers(labels):
-                return (RunStep("init", LabelledGraph(n, shape.edges, labels)),)
+                return (RunStep("init", shape.labelled(labels)),)
             frontier.append(labels)
 
         hit = None
         for _ in range(depth):
             grown = []
             for labels in frontier:
-                theta = LabelledGraph(n, shape.edges, labels)
+                theta = shape.labelled(labels)
                 for v in range(n):
                     for a in letters:
                         for succ in bn_step(spec, theta, v, a):
@@ -330,7 +324,9 @@ def _explore_static(spec, cls, n, depth, target, cap, max_states):
                             if key in parents:
                                 continue
                             if len(parents) >= max_states:
-                                raise ResourceExhausted("state budget hit", len(parents), n)
+                                raise ResourceExhausted(
+                                    f"state budget hit: {len(parents)} states on {n} nodes"
+                                )
                             parents[key] = (labels, v, a, succ.labels)
                             if covers(succ.labels):
                                 hit = succ.labels
@@ -358,10 +354,10 @@ def _explore_static(spec, cls, n, depth, target, cap, max_states):
                 chain.append((v, a, actual))
                 cursor = prev
             chain.reverse()
-            steps = [RunStep("init", LabelledGraph(n, shape.edges, root))]
+            steps = [RunStep("init", shape.labelled(root))]
             for v, a, labels in chain:
                 steps.append(
-                    RunStep("broadcast", LabelledGraph(n, shape.edges, labels), vertex=v, letter=a)
+                    RunStep("broadcast", shape.labelled(labels), vertex=v, letter=a)
                 )
             return tuple(steps)
     return None

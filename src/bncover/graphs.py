@@ -7,13 +7,18 @@ every label to a dominating label.  This order drives the network-level
 saturation: over path-length-bounded graphs and over cliques it is a
 well-quasi ordering, and over a fixed graph shape the labels alone are
 compared positionwise.
+
+A graph's adjacency is computed once per :class:`Graph` object, as one
+bitmask per vertex; labelled graphs built from one another share their
+shape object, so a saturation over one shape builds it once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .order import ResourceExhausted
@@ -42,14 +47,40 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         object.__setattr__(self, "edges", _normalize_edges(self.n, self.edges))
 
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """Neighbors of each vertex as a bitmask (bit ``w`` set for neighbor ``w``)."""
+        adj = [0] * self.n
+        for a, b in self.edges:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        return tuple(adj)
+
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Every automorphism, in lexicographic order of the image tuple."""
+        return tuple(graph_injections(self, self))
+
     def adjacent(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
+        return bool(self.adjacency[a] >> b & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(b if a == v else a for a, b in self.edges if v in (a, b)))
+        mask = self.adjacency[v]
+        return tuple(w for w in range(self.n) if mask >> w & 1)
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return self.adjacency[v].bit_count()
+
+    def labelled(self, labels: tuple) -> "LabelledGraph":
+        """This graph carrying ``labels``, sharing its validated edge set
+        and adjacency."""
+        if len(labels) != self.n:
+            raise ValueError("one label per vertex is required")
+        g = object.__new__(LabelledGraph)
+        object.__setattr__(g, "n", self.n)
+        object.__setattr__(g, "edges", self.edges)
+        object.__setattr__(g, "labels", labels)
+        object.__setattr__(g, "shape", self)
+        return g
 
     @staticmethod
     def complete(n: int) -> "Graph":
@@ -63,27 +94,26 @@ class LabelledGraph:
     n: int
     edges: frozenset
     labels: tuple
+    shape: Graph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", _normalize_edges(self.n, self.edges))
+        shape = Graph(self.n, self.edges)
         if len(self.labels) != self.n:
             raise ValueError("one label per vertex is required")
-
-    @property
-    def shape(self) -> Graph:
-        return Graph(self.n, self.edges)
+        object.__setattr__(self, "edges", shape.edges)
+        object.__setattr__(self, "shape", shape)
 
     def adjacent(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
+        return self.shape.adjacent(a, b)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(b if a == v else a for a, b in self.edges if v in (a, b)))
+        return self.shape.neighbors(v)
 
     def with_labels(self, patch: dict) -> "LabelledGraph":
         labels = list(self.labels)
         for v, lbl in patch.items():
             labels[v] = lbl
-        return LabelledGraph(self.n, self.edges, tuple(labels))
+        return self.shape.labelled(tuple(labels))
 
     def __str__(self) -> str:
         edges = ",".join(f"{a}-{b}" for a, b in sorted(self.edges))
@@ -95,47 +125,53 @@ def single_vertex(label) -> LabelledGraph:
     return LabelledGraph(1, frozenset(), (label,))
 
 
+def _earlier_images(adj_u: int, assign: Sequence[int], u: int) -> int:
+    """Bitmask of the images of the neighbors of ``u`` among vertices ``0..u-1``."""
+    want = 0
+    for v in range(u):
+        if adj_u >> v & 1:
+            want |= 1 << assign[v]
+    return want
+
+
 def graph_embeds(small: LabelledGraph, large: LabelledGraph, leq: Callable) -> Optional[tuple[int, ...]]:
     """First induced embedding of ``small`` into ``large``, or None.
 
-    The returned tuple maps vertex ``i`` of ``small`` to its image.
-    Vertices are matched in index order with backtracking; candidates are
-    pruned by label comparison and by degree (an image needs at least the
-    degree of its preimage).
+    The returned tuple maps vertex ``i`` of ``small`` to its image; the
+    first embedding in lexicographic order of that tuple is returned.
+    Vertices are matched in index order with backtracking over the
+    adjacency bitmasks; candidates are pruned by label comparison and by
+    degree (an image needs at least the degree of its preimage).
     """
     if small.n > large.n:
         return None
-    large_deg = [large.shape.degree(w) for w in range(large.n)]
+    sadj, gadj = small.shape.adjacency, large.shape.adjacency
     cands: list[list[int]] = []
     for u in range(small.n):
-        du = small.shape.degree(u)
+        du = sadj[u].bit_count()
         row = [
             w
             for w in range(large.n)
-            if large_deg[w] >= du and leq(small.labels[u], large.labels[w])
+            if gadj[w].bit_count() >= du and leq(small.labels[u], large.labels[w])
         ]
         if not row:
             return None
         cands.append(row)
 
     assign = [-1] * small.n
-    used = [False] * large.n
 
-    def backtrack(u: int) -> bool:
+    def backtrack(u: int, used: int) -> bool:
         if u == small.n:
             return True
+        want = _earlier_images(sadj[u], assign, u)
         for w in cands[u]:
-            if used[w]:
-                continue
-            if all(small.adjacent(u, v) == large.adjacent(w, assign[v]) for v in range(u)):
+            if not used >> w & 1 and gadj[w] & used == want:
                 assign[u] = w
-                used[w] = True
-                if backtrack(u + 1):
+                if backtrack(u + 1, used | 1 << w):
                     return True
-                used[w] = False
         return False
 
-    return tuple(assign) if backtrack(0) else None
+    return tuple(assign) if backtrack(0, 0) else None
 
 
 def graph_injections(small: Graph, large: Graph) -> Iterator[tuple[int, ...]]:
@@ -143,23 +179,20 @@ def graph_injections(small: Graph, large: Graph) -> Iterator[tuple[int, ...]]:
     in lexicographic order of the image tuple."""
     if small.n > large.n:
         return
+    sadj, gadj = small.adjacency, large.adjacency
     assign = [-1] * small.n
-    used = [False] * large.n
 
-    def backtrack(u: int) -> Iterator[tuple[int, ...]]:
+    def backtrack(u: int, used: int) -> Iterator[tuple[int, ...]]:
         if u == small.n:
             yield tuple(assign)
             return
+        want = _earlier_images(sadj[u], assign, u)
         for w in range(large.n):
-            if used[w]:
-                continue
-            if all(small.adjacent(u, v) == large.adjacent(w, assign[v]) for v in range(u)):
+            if not used >> w & 1 and gadj[w] & used == want:
                 assign[u] = w
-                used[w] = True
-                yield from backtrack(u + 1)
-                used[w] = False
+                yield from backtrack(u + 1, used | 1 << w)
 
-    yield from backtrack(0)
+    yield from backtrack(0, 0)
 
 
 def longest_simple_path_length(g: Graph) -> int:

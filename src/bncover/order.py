@@ -16,10 +16,17 @@ from typing import Callable, Optional, Protocol, Sequence
 
 
 class ResourceExhausted(Exception):
-    """Search exceeded its configured limits; no verdict is implied."""
+    """Search exceeded its configured limits; no verdict is implied.
 
-    def __init__(self, reason: str, iterations: int = 0, basis_size: int = 0):
-        super().__init__(f"{reason} (iterations={iterations}, basis size={basis_size})")
+    ``iterations`` and ``basis_size`` are those a saturation had reached
+    when it stopped, or None when no saturation ran out.
+    """
+
+    def __init__(
+        self, reason: str, iterations: Optional[int] = None, basis_size: Optional[int] = None
+    ):
+        counts = f" (iterations={iterations}, basis size={basis_size})"
+        super().__init__(reason if iterations is None else reason + counts)
         self.reason = reason
         self.iterations = iterations
         self.basis_size = basis_size

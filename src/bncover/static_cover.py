@@ -20,13 +20,14 @@ step of a smaller one because an extra neighbor blocks the broadcast.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .explore import RunStep, bn_step
 from .graphs import (
     Clique,
     ClassViolation,
     DiamDeg,
+    Graph,
     LabelledGraph,
     PathBounded,
     TopologyClass,
@@ -37,7 +38,7 @@ from .graphs import (
     in_class,
     single_vertex,
 )
-from .order import ResourceLimits, Verdict, backward_coverability, minimize
+from .order import ResourceExhausted, ResourceLimits, Verdict, backward_coverability, minimize
 from .process import covered_by_initial, initial_configs, leq, space
 from .pushdown import PushdownSpec
 from .vass import Label
@@ -59,6 +60,9 @@ class _Wildcard:
 
 WILDCARD = _Wildcard()
 
+# Largest extension table GraphSpace keeps for one shape, in rows.
+_MAX_TABLE_ROWS = 5040
+
 
 class GraphSpace:
     """Ordered space of labelled graphs for one process and topology class."""
@@ -74,6 +78,7 @@ class GraphSpace:
         self._space = space(spec)
         self._config_leq = leq(spec)
         self._pre_cache: dict = {}
+        self._ext_cache: dict = {}
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -124,6 +129,35 @@ class GraphSpace:
             self._pre_cache[key] = basis
         return self._pre_cache[key]
 
+    def _extensions(self, shape: Graph) -> Iterator[tuple]:
+        """Every way to place ``shape`` inside a class-admissible extension
+        by one fresh vertex, as ``(extension, fresh vertex, preimage of
+        each old vertex, neighbors of the fresh vertex)``, extensions in
+        :func:`enumerate_extensions` order and injections in
+        :func:`graph_injections` order.  Fixed by the shape and the class,
+        so kept per shape, unless the table has more than
+        ``_MAX_TABLE_ROWS`` rows: a clique on n vertices has (n+1)! of them,
+        and those are rebuilt on every call instead."""
+        table = self._ext_cache.get(shape)
+        if table is not None:
+            yield from table
+            return
+        rows: Optional[list] = []
+        for ext in enumerate_extensions(shape, self.cls):
+            # validated afresh, as a graph built from this edge set would
+            # be, so its edges iterate (and print) in that same order
+            ext = Graph(ext.n, ext.edges)
+            for inj in graph_injections(shape, ext):
+                fresh = next(w for w in range(ext.n) if w not in inj)
+                row = (ext, fresh, {w: i for i, w in enumerate(inj)}, ext.neighbors(fresh))
+                if rows is not None:
+                    rows.append(row)
+                    if len(rows) > _MAX_TABLE_ROWS:
+                        rows = None
+                yield row
+        if rows is not None:
+            self._ext_cache[shape] = tuple(rows)
+
     def pre_graphs(self, theta: LabelledGraph, letter: str) -> tuple[LabelledGraph, ...]:
         """Unminimized predecessor graphs of the upward closure of ``theta``
         one ``letter`` broadcast back."""
@@ -151,27 +185,20 @@ class GraphSpace:
         # one fresh broadcaster attached in every class-admissible way
         enabling = self._space.min_enabling(bl)
         if enabling:
-            for ext in enumerate_extensions(theta.shape, self.cls):
-                for inj in graph_injections(theta.shape, ext):
-                    image = set(inj)
-                    fresh = next(w for w in range(ext.n) if w not in image)
-                    back = {w: i for i, w in enumerate(inj)}
-                    nbrs = ext.neighbors(fresh)
-                    receiver_bases = [self._vertex_pre(theta.labels[back[u]], rl) for u in nbrs]
-                    if not all(receiver_bases):
-                        continue
-                    carried = [
-                        theta.labels[back[w]] if w != fresh else None for w in range(ext.n)
-                    ]
-                    for cv in enabling:
-                        for combo in itertools.product(*receiver_bases):
-                            labels = list(carried)
-                            labels[fresh] = cv
-                            for u, cu in zip(nbrs, combo):
-                                labels[u] = cu
-                            before = LabelledGraph(ext.n, ext.edges, tuple(labels))
-                            if self._one_step_reaches(before, fresh, letter, theta):
-                                emitted.append(before)
+            for ext, fresh, back, nbrs in self._extensions(theta.shape):
+                receiver_bases = [self._vertex_pre(theta.labels[back[u]], rl) for u in nbrs]
+                if not all(receiver_bases):
+                    continue
+                carried = [theta.labels[back[w]] if w != fresh else None for w in range(ext.n)]
+                for cv in enabling:
+                    for combo in itertools.product(*receiver_bases):
+                        labels = list(carried)
+                        labels[fresh] = cv
+                        for u, cu in zip(nbrs, combo):
+                            labels[u] = cu
+                        before = ext.labelled(tuple(labels))
+                        if self._one_step_reaches(before, fresh, letter, theta):
+                            emitted.append(before)
         return tuple(emitted)
 
     def _one_step_reaches(self, before: LabelledGraph, v: int, letter: str, theta: LabelledGraph) -> bool:
@@ -227,22 +254,10 @@ def static_coverable(
     return backward_coverability(gspace, single_vertex(target), limits, observer)
 
 
-def _position_orbits(shape) -> list[int]:
-    """One representative vertex per orbit of the automorphism group."""
-    parent = list(range(shape.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in graph_injections(shape, shape):
-        for v, w in enumerate(perm):
-            rv, rw = find(v), find(w)
-            if rv != rw:
-                parent[max(rv, rw)] = min(rv, rw)
-    return sorted({find(v) for v in range(shape.n)})
+def _position_orbits(shape: Graph) -> list[int]:
+    """One representative vertex, the least, per orbit of the automorphism group."""
+    autos = shape.automorphisms()
+    return sorted({min(perm[v] for perm in autos) for v in range(shape.n)})
 
 
 def diam_deg_coverable(
@@ -268,8 +283,15 @@ def diam_deg_coverable(
     for shape in enumerate_diam_deg_graphs(k, d, n_max):
         for pos in _position_orbits(shape):
             labels = tuple(target if i == pos else WILDCARD for i in range(shape.n))
-            seed = LabelledGraph(shape.n, shape.edges, labels)
-            verdict = backward_coverability(gspace, seed, limits, observer)
+            seed = shape.labelled(labels)
+            try:
+                verdict = backward_coverability(gspace, seed, limits, observer)
+            except ResourceExhausted as exc:
+                # count the iterations of the shapes already decided, as a
+                # decided query does
+                raise ResourceExhausted(
+                    exc.reason, total_iterations + exc.iterations, exc.basis_size
+                ) from exc
             total_iterations += verdict.iterations
             if verdict.coverable:
                 return Verdict(True, total_iterations, verdict.basis, verdict.chain)

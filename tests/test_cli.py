@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +16,9 @@ from bncover import (
     run_queries,
     run_to_json,
 )
+from bncover import cli
 from bncover.cli import main
-from bncover.order import ResourceLimits
+from bncover.order import ResourceExhausted, ResourceLimits
 
 from conftest import MODELS
 
@@ -32,6 +36,47 @@ def test_run_queries_reports_exhaustion_distinctly(relay_model):
     verdicts = {r.verdict for r in report.results}
     assert "resource-exhausted" in verdicts
     assert "not-coverable" not in verdicts  # the static query cannot finish in one round
+    # an exhausted query keeps the statistics its search reached
+    for r in report.results:
+        assert r.verdict == "resource-exhausted"
+        assert (r.iterations, r.basis_size) == (1, 2)
+
+
+def _relay_with_query(semantics: str):
+    lines = [
+        line for line in (MODELS / "relay.bn").read_text().splitlines()
+        if not line.startswith("query")
+    ]
+    lines.append(f"query cover state=q4 vector=(0) semantics={semantics}")
+    return parse_model("\n".join(lines) + "\n")
+
+
+def test_exhausted_diam_deg_query_counts_the_shapes_already_decided():
+    model = _relay_with_query("diam-deg:2,2,3")
+    decided = run_queries(model, "relay").results[0]
+    assert (decided.verdict, decided.iterations) == ("not-coverable", 12)
+    # one saturation stops at 2 iterations; the shapes decided before it add 3
+    row = run_queries(model, "relay", ResourceLimits(max_iters=2)).results[0]
+    assert (row.verdict, row.iterations, row.basis_size) == ("resource-exhausted", 5, 3)
+
+
+def test_exhausted_without_a_saturation_reports_no_statistics():
+    # the shape enumeration refuses 9 vertices before any saturation runs
+    row = run_queries(_relay_with_query("diam-deg:2,2,9"), "relay").results[0]
+    assert (row.verdict, row.iterations, row.basis_size) == ("resource-exhausted", None, None)
+
+
+def test_witness_search_out_of_budget_keeps_the_verdict(relay_model, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise ResourceExhausted("state budget hit: 250000 states on 4 nodes")
+
+    monkeypatch.setattr(cli, "rbn_witness", exhausted)
+    report = run_queries(relay_model, "relay", want_witness=True)
+    row = report.results[0]
+    assert (row.semantics, row.verdict, row.witness) == ("rbn", "coverable", None)
+    assert row.iterations is not None and row.sweeps is not None
+    assert main(["verify", str(MODELS / "relay.bn"), "--witness"]) == 0
+    assert "resource-exhausted" not in capsys.readouterr().out
 
 
 def test_report_round_trips(relay_model):
@@ -106,3 +151,14 @@ def test_cli_missing_file():
 
 def test_pushdown_model_verifies():
     assert main(["verify", str(MODELS / "handshake_pushdown.bn")]) == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "bncover", "--help"],
+        capture_output=True, text=True, timeout=60, cwd=src,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage: bncover" in done.stdout and "verify" in done.stdout
+    assert done.stderr == ""

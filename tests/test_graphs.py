@@ -72,18 +72,34 @@ def test_edge_does_not_embed_into_non_edge():
 
 
 def test_embeds_agrees_with_brute_force():
+    from oracles import injections_brute
+
     rng = random.Random(61)
-    for _ in range(60):
-        g1 = random_labelled_graph(rng, max_n=4)
-        g2 = random_labelled_graph(rng, max_n=5)
+    pairs = [
+        (random_labelled_graph(rng, max_n=4), random_labelled_graph(rng, max_n=5))
+        for _ in range(60)
+    ]
+    # pairs sharing one shape: a random graph, relabelled at random, once
+    # over the same shape object and once over an equal copy of it
+    for i in range(60):
+        g1 = random_labelled_graph(rng, max_n=5, states="p", max_counter=1)
+        labels = tuple(cfg("p", rng.randint(0, 2)) for _ in range(g1.n))
+        g2 = g1.shape.labelled(labels) if i % 2 else LabelledGraph(g1.n, g1.edges, labels)
+        pairs.append((g1, g2))
+    same_shape_hits = 0
+    for g1, g2 in pairs:
         got = graph_embeds(g1, g2, vass_leq)
         expected = embeds_brute(g1, g2, vass_leq)
         assert (got is not None) == expected, (g1, g2)
+        # the first embedding in lexicographic order, exactly
+        assert got == (injections_brute(g1, g2, vass_leq) or [None])[0], (g1, g2)
+        same_shape_hits += got is not None and g1.edges == g2.edges and g1.n == g2.n
         if got is not None:
             for u in range(g1.n):
                 assert vass_leq(g1.labels[u], g2.labels[got[u]])
                 for v in range(u):
                     assert g1.adjacent(u, v) == g2.adjacent(got[u], got[v])
+    assert same_shape_hits >= 30
 
 
 def test_embedding_is_reflexive_and_transitive():
@@ -300,3 +316,15 @@ def test_size_bound_is_reference_only():
 def test_self_loops_rejected():
     with pytest.raises(ValueError):
         Graph(2, frozenset({(1, 1)}))
+
+
+def test_labelled_graphs_share_their_shape():
+    g = LabelledGraph(3, frozenset({(1, 0), (1, 2)}), (cfg("p", 0),) * 3)
+    h = g.with_labels({0: cfg("q", 1)})
+    assert h.shape is g.shape and h.edges is g.edges
+    same = g.shape.labelled(g.labels)
+    assert same == g and hash(same) == hash(g) and repr(same) == repr(g)
+    assert "shape" not in repr(g)
+    assert g.neighbors(1) == (0, 2) and g.shape.degree(1) == 2 and not g.adjacent(0, 2)
+    with pytest.raises(ValueError):
+        g.shape.labelled((cfg("p", 0),))

@@ -162,6 +162,23 @@ def test_broadcast_only_static_equals_plain_coverability():
     assert agreements == 30
 
 
+def test_extension_tables_over_the_cap_are_rebuilt_alike(relay, monkeypatch):
+    from bncover import static_cover
+
+    def decide():
+        gspace = GraphSpace(relay, PathBounded(3))
+        return gspace, backward_coverability(gspace, single_vertex(cfg("q4", 0)))
+
+    kept_space, kept = decide()
+    assert max(len(t) for t in kept_space._ext_cache.values()) > 2
+    monkeypatch.setattr(static_cover, "_MAX_TABLE_ROWS", 2)
+    capped_space, capped = decide()
+    assert all(len(t) <= 2 for t in capped_space._ext_cache.values())
+    assert len(capped_space._ext_cache) < len(kept_space._ext_cache)
+    assert capped.iterations == kept.iterations
+    assert repr((capped.basis, capped.chain)) == repr((kept.basis, kept.chain))
+
+
 def test_basis_graphs_stay_in_class(relay):
     for cls in (PathBounded(2), Clique()):
         verdict = static_coverable(relay, cfg("q4", 0), cls)
