@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Random cross-validation sweeps between independent engines.
 
-Three checks, each between routes that share no decision logic:
-backward saturation against bounded forward search, the rewiring decider
-against plain coverability on broadcast-only models, and the rewiring
-decider against forward exploration on small node counts.
+Checks between routes that share no decision logic: backward saturation
+against bounded forward search, the rewiring decider against plain
+coverability on broadcast-only models, the rewiring decider against
+forward exploration on small node counts, pushdown saturation against
+bounded forward search, and the fixed-topology deciders (path-bounded,
+clique, diam-deg) against forward exploration on 2-3 nodes and against
+replay of their own witness runs.
 """
 
 import argparse
@@ -16,16 +19,24 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "tests"))
 
 from bncover import (
+    Clique,
+    DiamDeg,
+    PathBounded,
     PdsConfig,
     Reconfigurable,
     VassConfig,
     VassSpace,
     backward_coverability,
+    diam_deg_coverable,
     explore,
     pds_coverable,
     rbn_coverable,
+    replay,
+    static_coverable,
+    static_witness_run,
+    vass_leq,
 )
-from conftest import random_finite, random_pushdown, random_vass
+from conftest import random_finite, random_pushdown, random_receive_total, random_vass
 from oracles import forward_cover
 
 
@@ -94,6 +105,44 @@ def sweep_pushdown_vs_forward(rng, rounds):
     return agreed, skipped
 
 
+def sweep_static_vs_explore(rng, rounds):
+    """On receive-total models, an explorer run on 2-3 nodes implies a
+    positive verdict (diam-deg decided up to 3 nodes), and a positive
+    verdict yields a witness run that replays and covers the target.
+    Prints every disagreement, then fails."""
+    agreed = 0
+    disagreements = []
+    for _ in range(rounds):
+        spec = random_receive_total(rng)
+        for state in spec.states:
+            target = VassConfig(state, (0,) * spec.dim)
+            for cls in (PathBounded(2), Clique(), DiamDeg(2, 2)):
+                if isinstance(cls, DiamDeg):
+                    verdict = diam_deg_coverable(spec, target, cls.k, cls.d, 3)
+                else:
+                    verdict = static_coverable(spec, target, cls)
+                hit = any(explore(spec, cls, n, 8, target) is not None for n in (2, 3))
+                if hit and not verdict.coverable:
+                    disagreements.append(f"explorer covers, {cls} says not coverable: {spec} {target}")
+                    continue
+                if verdict.coverable:
+                    try:
+                        run = static_witness_run(spec, verdict, cls)
+                        ok = bool(replay(spec, run)) and any(
+                            vass_leq(target, c) for c in run[-1].graph.labels
+                        )
+                    except RuntimeError:
+                        ok = False
+                    if not ok:
+                        disagreements.append(f"{cls} positive without a witness: {spec} {target}")
+                        continue
+                agreed += 1
+    for line in disagreements:
+        print(f"  disagreement: {line}")
+    assert not disagreements, f"{len(disagreements)} disagreements"
+    return agreed, 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rounds", type=int, default=100)
@@ -106,6 +155,7 @@ def main():
         ("rewiring vs plain (broadcast-only)", sweep_rewiring_vs_plain),
         ("explore-positive vs rewiring", sweep_explore_vs_rewiring),
         ("pushdown vs bounded-forward", sweep_pushdown_vs_forward),
+        ("fixed-topology vs explore and replay", sweep_static_vs_explore),
     ]:
         agreed, skipped = sweep(rng, args.rounds)
         note = f", {skipped} skipped (bounds hit)" if skipped else ""

@@ -17,7 +17,7 @@ import time
 from typing import Optional
 
 from .explore import explore, replay
-from .graphs import Clique, PathBounded, Reconfigurable
+from .graphs import Clique, DiamDeg, PathBounded, Reconfigurable
 from .modelfile import ModelError, ModelFile, Query, parse_model
 from .order import ResourceExhausted, ResourceLimits
 from .rbn import WitnessExtractionFailed, rbn_coverable, rbn_witness
@@ -75,8 +75,6 @@ def run_query(
             iterations = verdict_obj.iterations
             basis_size = len(verdict_obj.basis)
             if want_witness and verdict_obj.coverable:
-                from .graphs import DiamDeg
-
                 try:
                     witness = static_witness_run(spec, verdict_obj, DiamDeg(k, d))
                 except RuntimeError:
@@ -170,8 +168,6 @@ def _semantics_of(query: Query):
     if query.semantics == "rbn":
         return Reconfigurable()
     if query.semantics == "diam-deg":
-        from .graphs import DiamDeg
-
         return DiamDeg(query.params[0], query.params[1])
     return _query_class(query)
 

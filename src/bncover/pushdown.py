@@ -19,6 +19,7 @@ from .order import Verdict, minimize
 from .vass import Label
 
 BOTTOM = "_"
+_NONE: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -193,19 +194,22 @@ def pds_coverable(spec: PushdownSpec, target: PdsConfig) -> Verdict:
     for g in gamma:
         trans.add((acc, g, acc))
 
+    # adj is extended by each round's additions only once that round ends,
+    # so every round reads the previous round's automaton
+    adj: dict[tuple, set] = {}
+    added = trans
     rounds = 0
     while True:
-        rounds += 1
-        adj: dict[tuple, set] = {}
-        for s, g, d in trans:
+        for s, g, d in added:
             adj.setdefault((s, g), set()).add(d)
+        rounds += 1
         added = set()
         for source, top, tgt, word in rules:
             cur: set = {tgt}
             for sym in word:
                 nxt: set = set()
                 for s in cur:
-                    nxt |= adj.get((s, sym), set())
+                    nxt |= adj.get((s, sym), _NONE)
                 cur = nxt
                 if not cur:
                     break

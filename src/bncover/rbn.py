@@ -7,12 +7,15 @@ this: starting from the process with every receive disabled, it sweeps the
 alphabet, unlocking the receives of each letter whose minimal broadcast
 enabling configurations become coverable, until a sweep unlocks nothing
 new; the final query runs against the accumulated process.  Each sweep's
-queries run against the process as it stood when the sweep began.
+queries run against the process as it stood when the sweep began.  The
+loop never looks at the target, so it runs once per process
+(:func:`rbn_unlock`) and every query on that process reuses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .explore import Run, explore, replay
@@ -70,9 +73,15 @@ class WitnessExtractionFailed(Exception):
     """No witness run found within the given bounds; the verdict stands."""
 
 
-def rbn_coverable(spec, target, limits: Optional[ResourceLimits] = None) -> RbnResult:
-    """Decide whether, in some rewirable network of ``spec`` processes, a
-    node can reach a configuration dominating ``target``."""
+@lru_cache(maxsize=64)
+def rbn_unlock(spec, limits: Optional[ResourceLimits] = None) -> tuple[SaturationTrace, object]:
+    """Run the unlocking loop of ``spec``: the trace of its sweeps and the
+    process with the receives of every unlocked letter enabled.
+
+    Neither depends on the queried target, so results are memoized per
+    ``(spec, limits)`` and later rbn queries on an equal process reuse
+    them.  A run that exhausts ``limits`` raises and leaves no entry.
+    """
     enabling = {a: broadcast_enabling_basis(spec, a) for a in spec.alphabet}
     current = strip_receives(spec)
     remaining = list(spec.alphabet)
@@ -100,9 +109,14 @@ def rbn_coverable(spec, target, limits: Optional[ResourceLimits] = None) -> RbnR
         if not added_transitions:
             break
 
-    final = coverable(current, target, limits)
-    trace = SaturationTrace(tuple(sweeps), frozenset(unlocked_all))
-    return RbnResult(final, trace)
+    return SaturationTrace(tuple(sweeps), frozenset(unlocked_all)), current
+
+
+def rbn_coverable(spec, target, limits: Optional[ResourceLimits] = None) -> RbnResult:
+    """Decide whether, in some rewirable network of ``spec`` processes, a
+    node can reach a configuration dominating ``target``."""
+    trace, unlocked = rbn_unlock(spec, limits)
+    return RbnResult(coverable(unlocked, target, limits), trace)
 
 
 def rbn_witness(

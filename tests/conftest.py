@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from bncover import (
     VassConfig,
     VassSpec,
     VassTransition,
+    complete_receives,
     finite_spec,
     parse_model,
 )
@@ -89,6 +91,22 @@ def random_finite(rng: random.Random, max_states=4, max_letters=3, max_trans=6) 
             (rng.choice(states), Label(sigil, rng.choice(letters)), rng.choice(states))
         )
     return finite_spec(states, [states[0]], transitions)
+
+
+def random_receive_total(rng: random.Random) -> VassSpec:
+    """A finite or one-counter model in which every state can receive every
+    letter at any time: receives never decrement, and missing ones lead to
+    a sink."""
+    if rng.random() < 0.5:
+        spec = random_finite(rng, max_states=5, max_letters=2, max_trans=10)
+    else:
+        spec = random_vass(rng, max_dim=1, max_trans=10)
+    transitions = tuple(
+        t if t.label.is_broadcast
+        else dataclasses.replace(t, delta=tuple(max(0, x) for x in t.delta))
+        for t in spec.transitions
+    )
+    return complete_receives(dataclasses.replace(spec, transitions=transitions), "sink")
 
 
 def random_pushdown(rng: random.Random, max_states=3, max_rules=5, max_syms=3) -> PushdownSpec:

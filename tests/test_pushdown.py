@@ -12,9 +12,10 @@ from bncover import (
     pds_leq,
     pds_min_enabling,
     pds_successors,
+    parse_model,
 )
 
-from conftest import random_pushdown
+from conftest import MODELS, random_pushdown
 from oracles import forward_cover
 
 
@@ -111,6 +112,33 @@ def test_coverable_matches_bounded_forward_search():
             assert not verdict.coverable, (spec, target)
             checked += 1
     assert checked >= 25
+
+
+def test_saturation_round_counts_are_pinned():
+    # reports expose the round count as ``iterations``; literal values keep
+    # changes to the saturation's bookkeeping from shifting it
+    spec = parse_model((MODELS / "handshake_pushdown.bn").read_text()).process
+    for state, stack, covered, rounds in [
+        ("idle", "AA", True, 3), ("idle", "B", False, 2), ("done", "", True, 3),
+        ("done", "A", True, 4), ("done", "AA", True, 5), ("done", "B", False, 3),
+        ("stuck", "A", False, 2),
+    ]:
+        verdict = pds_coverable(spec, PdsConfig(state, stack))
+        assert (verdict.coverable, verdict.iterations) == (covered, rounds), (state, stack)
+
+    rng = random.Random(223)
+    expected = [
+        ("p0[]", True, 4), ("p1[BAB]", False, 4), ("p0[CA]", False, 2),
+        ("p2[AAA]", True, 4), ("p0[B]", True, 3), ("p1[]", False, 4),
+        ("p0[BAB]", False, 5), ("p0[]", True, 4), ("p0[]", True, 1),
+        ("p0[B]", True, 6), ("p1[A]", False, 3), ("p3[A]", True, 2),
+    ]
+    for text, covered, rounds in expected:
+        spec = random_pushdown(rng, max_states=5, max_rules=14)
+        stack = "".join(rng.choice(spec.stack_alphabet) for _ in range(rng.randint(0, 3)))
+        target = PdsConfig(rng.choice(spec.states), stack)
+        verdict = pds_coverable(spec, target)
+        assert (str(target), verdict.coverable, verdict.iterations) == (text, covered, rounds)
 
 
 def test_min_enabling_patterns():

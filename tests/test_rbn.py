@@ -5,6 +5,8 @@ import pytest
 from bncover import (
     Label,
     PdsConfig,
+    ResourceExhausted,
+    ResourceLimits,
     VassConfig,
     VassSpace,
     WitnessExtractionFailed,
@@ -17,10 +19,12 @@ from bncover import (
     replay,
     vass_leq,
 )
+from bncover import rbn
 from bncover.graphs import Reconfigurable
 from bncover.process import broadcast_enabling_basis, leq
+from bncover.rbn import rbn_unlock
 
-from conftest import MODELS, cfg, random_finite, random_vass
+from conftest import MODELS, cfg, random_finite, random_pushdown, random_vass
 
 
 def check_trace(spec, trace):
@@ -159,3 +163,60 @@ def test_explore_confirms_rbn_positives_small_scale(relay):
     run = explore(relay, Reconfigurable(), 3, 6, cfg("q4", 0))
     assert run is not None
     assert rbn_coverable(relay, cfg("q4", 0)).coverable
+
+
+def test_second_query_on_an_equal_process_reuses_the_unlocking(relay_model, monkeypatch):
+    rbn_unlock.cache_clear()
+    calls = []
+    plain = rbn.coverable
+
+    def counting(spec, target, limits=None):
+        calls.append(target)
+        return plain(spec, target, limits)
+
+    monkeypatch.setattr(rbn, "coverable", counting)
+    first = rbn_coverable(relay_model.process, cfg("q4", 0))
+    assert len(calls) == first.trace.total_queries + 1
+    calls.clear()
+    equal = parse_model((MODELS / "relay.bn").read_text()).process
+    assert equal == relay_model.process and equal is not relay_model.process
+    second = rbn_coverable(equal, cfg("q5", 0))
+    assert calls == [cfg("q5", 0)]  # only the final, per-target query
+    assert second.trace == first.trace
+
+
+def test_memoized_results_equal_cold_results():
+    rng = random.Random(139)
+    for i in range(24):
+        if i % 2:
+            spec = random_pushdown(rng, max_states=4, max_rules=8)
+            targets = [
+                PdsConfig(rng.choice(spec.states), rng.choice(("",) + spec.stack_alphabet))
+                for _ in range(3)
+            ]
+        else:
+            spec = random_vass(rng)
+            targets = [
+                VassConfig(rng.choice(spec.states),
+                           tuple(rng.choice((0, 1)) for _ in range(spec.dim)))
+                for _ in range(3)
+            ]
+        rbn_unlock.cache_clear()
+        warm = [rbn_coverable(spec, t) for t in targets]
+        assert rbn_unlock.cache_info().misses == 1
+        for target, result in zip(targets, warm):
+            rbn_unlock.cache_clear()
+            assert rbn_coverable(spec, target) == result, (spec, target)
+
+
+def test_limits_are_part_of_the_memo_key(relay):
+    rbn_unlock.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ResourceExhausted):
+            rbn_coverable(relay, cfg("q4", 0), ResourceLimits(max_basis=1))
+    assert rbn_unlock.cache_info().currsize == 0  # exhaustion is never cached
+    loose = rbn_coverable(relay, cfg("q4", 0), ResourceLimits(max_iters=500))
+    assert rbn_coverable(relay, cfg("q4", 0)) == loose
+    assert rbn_unlock.cache_info().currsize == 2
+    with pytest.raises(ResourceExhausted):
+        rbn_coverable(relay, cfg("q4", 0), ResourceLimits(max_basis=1))

@@ -29,7 +29,7 @@ from bncover import (
     vass_leq,
 )
 
-from conftest import cfg, random_finite, random_vass
+from conftest import cfg, random_finite, random_receive_total, random_vass
 
 
 def edgeless(*labels):
@@ -253,6 +253,29 @@ def test_two_node_partner_requirement():
     # cross-check by forward exploration on the fixed two-node topology
     assert explore(with_partner, DiamDeg(1, 1), 2, 4, VassConfig("s1")) is not None
     assert explore(without, DiamDeg(1, 1), 2, 4, VassConfig("s1")) is None
+
+
+def test_explorer_runs_imply_fixed_topology_positives():
+    # a run the explorer finds on 2-3 nodes of the class is real, so the
+    # over-approximating deciders must answer coverable
+    rng = random.Random(149)
+    deep = 0
+    for _ in range(30):
+        spec = random_receive_total(rng)
+        for state in spec.states:
+            target = VassConfig(state, (0,) * spec.dim)
+            for cls in (PathBounded(2), Clique(), DiamDeg(2, 2)):
+                runs = [explore(spec, cls, n, 8, target) for n in (2, 3)]
+                runs = [run for run in runs if run is not None]
+                if not runs:
+                    continue
+                deep += min(len(run) for run in runs) > 2  # two broadcasts or more
+                if isinstance(cls, DiamDeg):
+                    verdict = diam_deg_coverable(spec, target, cls.k, cls.d, 3)
+                else:
+                    verdict = static_coverable(spec, target, cls)
+                assert verdict.coverable, (spec, target, cls)
+    assert deep >= 5
 
 
 def test_wildcard_is_a_bottom_label(relay):
