@@ -151,18 +151,19 @@ def backward_coverability(
         if iterations >= limits.max_iters:
             raise ResourceExhausted("iteration limit hit", iterations, len(antichain))
         iterations += 1
-        old = list(antichain)
-        old_set = set(old)
-        old_configs = [entries[i][0] for i in old]
+        old_set = set(antichain)
+        old_configs = tuple(entries[i][0] for i in antichain)
 
-        candidates = list(old)
+        candidates: list[int] = []
         for label in space.labels:
             for parent in frontier:
                 for config in space.pre_basis_for_label(label, (entries[parent][0],)):
                     entries.append((config, label, parent))
                     candidates.append(len(entries) - 1)
 
-        kept: list[int] = []
+        # the old antichain is pairwise incomparable, so only the new
+        # candidates need comparing, against it and against each other
+        kept = list(antichain)
         for i in candidates:
             ci = entries[i][0]
             if any(leq(entries[k][0], ci) for k in kept):
@@ -173,15 +174,17 @@ def backward_coverability(
         if len(kept) > limits.max_basis:
             raise ResourceExhausted("basis size limit hit", iterations, len(kept))
 
-        kept_configs = [entries[i][0] for i in kept]
+        kept_set = set(kept)
+        fresh = [i for i in kept if i not in old_set]
+        dropped = [entries[i][0] for i in antichain if i not in kept_set]
         # saturation only ever grows upward; losing ground means the order
-        # or the pre-basis of the space is broken
-        if not basis_subsumes(kept_configs, old_configs, leq):
+        # or the pre-basis of the space is broken.  A dropped old element can
+        # only be covered by a fresh one, the old ones being incomparable.
+        if not basis_subsumes([entries[i][0] for i in fresh], dropped, leq):
             raise AssertionError("saturation lost ground; ordered-space contract violated")
         if observer is not None:
-            observer(tuple(old_configs), tuple(kept_configs))
+            observer(old_configs, tuple(entries[i][0] for i in kept))
 
-        fresh = [i for i in kept if i not in old_set]
         for i in fresh:
             if space.covered_by_initial(entries[i][0]):
                 return positive(i, iterations, kept)

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .order import Verdict, minimize
-from .vass import Label
+from .vass import Label, TransitionIndex
 
 BOTTOM = "_"
 _NONE: frozenset = frozenset()
@@ -101,21 +102,20 @@ class PushdownSpec:
             if any(g not in syms for g in r.top + r.push):
                 raise ValueError(f"rule {r} uses an undeclared stack symbol")
 
-    @property
+    @cached_property
     def alphabet(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for r in self.rules:
-            if r.label.letter not in out:
-                out.append(r.label.letter)
-        return tuple(out)
+        """Letters in order of first appearance among declared rules."""
+        return tuple(dict.fromkeys(r.label.letter for r in self.rules))
 
-    @property
+    @cached_property
     def labels(self) -> tuple[Label, ...]:
-        out: list[Label] = []
-        for r in self.active_rules():
-            if r.label not in out:
-                out.append(r.label)
-        return tuple(out)
+        """Active rule labels in order of first appearance."""
+        return tuple(self.index.by_label)
+
+    @cached_property
+    def index(self) -> TransitionIndex:
+        """Active rules by (source, label) and by label, built on first use."""
+        return TransitionIndex.of(self.active_rules())
 
     def active_rules(self) -> Iterator[PdsRule]:
         for r in self.rules:
@@ -138,9 +138,7 @@ def pds_covered_by_initial(spec: PushdownSpec, config: PdsConfig) -> bool:
 def pds_successors(spec: PushdownSpec, config: PdsConfig, label: Label) -> tuple[PdsConfig, ...]:
     """All one-step successors of ``config`` under ``label``, rule order."""
     out = []
-    for r in spec.active_rules():
-        if r.source != config.state or r.label != label:
-            continue
+    for r in spec.index.by_source_label.get((config.state, label), ()):
         if r.top == "":
             out.append(PdsConfig(r.target, r.push + config.stack))
         elif config.stack.startswith(r.top):
@@ -155,7 +153,7 @@ def pds_min_enabling(spec: PushdownSpec, label: Label) -> tuple[PdsConfig, ...]:
     firing on any stack contributes the empty-prefix pattern, which every
     same-state configuration covers.
     """
-    pats = [PdsConfig(r.source, r.top) for r in spec.active_rules() if r.label == label]
+    pats = [PdsConfig(r.source, r.top) for r in spec.index.by_label.get(label, ())]
     return minimize(pats, pds_leq)
 
 

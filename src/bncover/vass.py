@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .order import minimize
 
@@ -88,6 +89,33 @@ class VassTransition:
 
 
 @dataclass(frozen=True)
+class TransitionIndex:
+    """Lookup tables over a spec's active transitions (or pushdown rules).
+
+    ``by_source_label`` maps ``(source state, label)`` and ``by_label``
+    maps a label to the matching transitions, each group in declaration
+    order, so scans over a group visit what a scan over the whole list
+    would, in the same order.  A spec builds its index once, on first use,
+    into its own ``__dict__``; ``dataclasses.replace`` copies get their own.
+    """
+
+    by_source_label: dict
+    by_label: dict
+
+    @classmethod
+    def of(cls, transitions: Iterable) -> "TransitionIndex":
+        by_source_label: dict = {}
+        by_label: dict = {}
+        for t in transitions:
+            by_source_label.setdefault((t.source, t.label), []).append(t)
+            by_label.setdefault(t.label, []).append(t)
+        return cls(
+            {k: tuple(v) for k, v in by_source_label.items()},
+            {k: tuple(v) for k, v in by_label.items()},
+        )
+
+
+@dataclass(frozen=True)
 class VassSpec:
     """Counter process specification.
 
@@ -125,23 +153,20 @@ class VassSpec:
             if len(t.delta) != self.dim:
                 raise ValueError(f"transition {t} has delta of wrong dimension")
 
-    @property
+    @cached_property
     def alphabet(self) -> tuple[str, ...]:
         """Letters in order of first appearance among declared transitions."""
-        out: list[str] = []
-        for t in self.transitions:
-            if t.label.letter not in out:
-                out.append(t.label.letter)
-        return tuple(out)
+        return tuple(dict.fromkeys(t.label.letter for t in self.transitions))
 
-    @property
+    @cached_property
     def labels(self) -> tuple[Label, ...]:
         """Active transition labels in order of first appearance."""
-        out: list[Label] = []
-        for t in self.active_transitions():
-            if t.label not in out:
-                out.append(t.label)
-        return tuple(out)
+        return tuple(self.index.by_label)
+
+    @cached_property
+    def index(self) -> "TransitionIndex":
+        """Active transitions by (source, label) and by label, built on first use."""
+        return TransitionIndex.of(self.active_transitions())
 
     def active_transitions(self) -> Iterator[VassTransition]:
         for t in self.transitions:
@@ -169,9 +194,7 @@ def finite_spec(states, initial_states, transitions) -> VassSpec:
 def vass_successors(spec: VassSpec, config: VassConfig, label: Label) -> tuple[VassConfig, ...]:
     """All one-step successors of ``config`` under ``label``, declaration order."""
     out = []
-    for t in spec.active_transitions():
-        if t.source != config.state or t.label != label:
-            continue
+    for t in spec.index.by_source_label.get((config.state, label), ()):
         updated = tuple(u + v for u, v in zip(config.counters, t.delta))
         if all(x >= 0 for x in updated):
             out.append(VassConfig(t.target, updated))
@@ -186,9 +209,7 @@ def vass_pre_basis(spec: VassSpec, label: Label, basis: Sequence[VassConfig]) ->
     firing counters are ``max(u - v, -v, 0)`` componentwise.
     """
     out = []
-    for t in spec.active_transitions():
-        if t.label != label:
-            continue
+    for t in spec.index.by_label.get(label, ()):
         for c in basis:
             if c.state != t.target:
                 continue
@@ -205,8 +226,7 @@ def vass_min_enabling(spec: VassSpec, label: Label) -> tuple[VassConfig, ...]:
     """
     out = [
         VassConfig(t.source, tuple(max(0, -v) for v in t.delta))
-        for t in spec.active_transitions()
-        if t.label == label
+        for t in spec.index.by_label.get(label, ())
     ]
     return minimize(out, vass_leq)
 

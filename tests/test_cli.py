@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -162,3 +163,25 @@ def test_python_dash_m_runs_the_cli():
     assert done.returncode == 0, done.stderr
     assert "usage: bncover" in done.stdout and "verify" in done.stdout
     assert done.stderr == ""
+
+
+def test_diff_reports_ignores_times_and_names_each_difference(relay_model, tmp_path):
+    script = Path(__file__).parent.parent / "scripts" / "diff_reports.py"
+    report = run_queries(relay_model, "relay", want_witness=True)
+    slower = Report(report.model, tuple(dataclasses.replace(r, time_s=r.time_s + 1) for r in report.results))
+    changed = Report(report.model, (dataclasses.replace(report.results[0], iterations=-1),) + report.results[1:])
+    for side, rep in (("a", report), ("b", slower), ("c", changed)):
+        (tmp_path / side / "reports").mkdir(parents=True)
+        (tmp_path / side / "reports" / "relay.json").write_text(report_to_json(rep))
+
+    def diff(a, b):
+        return subprocess.run([sys.executable, str(script), str(tmp_path / a), str(tmp_path / b)],
+                              capture_output=True, text=True)
+
+    same = diff("a", "b")
+    assert same.returncode == 0 and "1 report pairs compared, identical" in same.stdout
+    differs = diff("a", "c")
+    assert differs.returncode == 1
+    assert "result 0" in differs.stdout and "iterations" in differs.stdout
+    (tmp_path / "empty").mkdir()
+    assert diff("empty", "empty").returncode == 2

@@ -188,3 +188,57 @@ def test_saturation_growth_is_monotone(relay):
         if basis_subsumes(basis, grown, vass_leq):
             break
         basis = grown
+
+
+class _CountingSpace(VassSpace):
+    """A counter space that logs every order comparison the engine makes."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.compared: list[tuple] = []
+
+    def leq(self, c1, c2) -> bool:
+        self.compared.append((c1, c2))
+        return vass_leq(c1, c2)
+
+
+def test_saturation_never_compares_two_old_elements():
+    rng = random.Random(11)
+    rounds_with_old_pairs = 0
+    for _ in range(40):
+        spec = random_vass(rng, max_trans=10)
+        space = _CountingSpace(spec)
+
+        def observer(old, new):
+            nonlocal rounds_with_old_pairs
+            old_ids = {id(c) for c in old}
+            assert not [p for p in space.compared if id(p[0]) in old_ids and id(p[1]) in old_ids]
+            rounds_with_old_pairs += len(old) >= 2
+            space.compared.clear()
+
+        target = VassConfig(rng.choice(spec.states), tuple(rng.randint(0, 2) for _ in range(spec.dim)))
+        verdict = backward_coverability(space, target, observer=observer)
+        assert verdict == backward_coverability(VassSpace(spec), target)
+    assert rounds_with_old_pairs >= 10
+
+
+class _BrokenOrderSpace:
+    """``b <= a <= o`` but not ``b <= o``: a non-transitive order under which
+    the predecessors of ``o`` drop it from the basis without covering it."""
+
+    labels = ("x",)
+    pairs = {("a", "o"), ("b", "a")}
+
+    def leq(self, c1, c2):
+        return c1 == c2 or (c1, c2) in self.pairs
+
+    def covered_by_initial(self, config):
+        return False
+
+    def pre_basis_for_label(self, label, basis):
+        return ("a", "b") if basis == ("o",) else ()
+
+
+def test_saturation_that_loses_ground_raises():
+    with pytest.raises(AssertionError, match="saturation lost ground"):
+        backward_coverability(_BrokenOrderSpace(), "o")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,11 +9,14 @@ from bncover import (
     PdsConfig,
     PdsRule,
     PushdownSpec,
+    add_receives,
+    minimize,
     pds_coverable,
     pds_leq,
     pds_min_enabling,
     pds_successors,
     parse_model,
+    strip_receives,
 )
 
 from conftest import MODELS, random_pushdown
@@ -51,22 +55,50 @@ def test_pop_requires_matching_top():
     assert pds_successors(spec, PdsConfig("q", BOTTOM), Label.broadcast("b")) == ()
 
 
+def _active_scan(spec):
+    return [
+        r for r in spec.rules
+        if r.label.is_broadcast
+        or spec.active_receives is None
+        or r.label.letter in spec.active_receives
+    ]
+
+
 def test_successors_match_rule_scan():
     rng = random.Random(31)
     for _ in range(30):
+        full = random_pushdown(rng)
+        stripped = strip_receives(full)
+        for spec in (full, stripped, add_receives(stripped, rng.choice(full.alphabet))):
+            stack = "".join(rng.choice(spec.stack_alphabet) for _ in range(rng.randint(0, 3)))
+            config = PdsConfig(rng.choice(spec.states), stack + BOTTOM)
+            label = rng.choice([r.label for r in spec.rules])
+            expected = []
+            for r in _active_scan(spec):
+                if r.source != config.state or r.label != label:
+                    continue
+                if r.top == "":
+                    expected.append(PdsConfig(r.target, r.push + config.stack))
+                elif config.stack.startswith(r.top):
+                    expected.append(PdsConfig(r.target, r.push + config.stack[1:]))
+            assert list(pds_successors(spec, config, label)) == expected
+            assert spec.labels == tuple(dict.fromkeys(r.label for r in _active_scan(spec)))
+            patterns = [PdsConfig(r.source, r.top) for r in _active_scan(spec) if r.label == label]
+            assert pds_min_enabling(spec, label) == minimize(patterns, pds_leq)
+
+
+def test_index_is_per_instance_and_outside_identity():
+    rng = random.Random(37)
+    for _ in range(10):
         spec = random_pushdown(rng)
-        stack = "".join(rng.choice(spec.stack_alphabet) for _ in range(rng.randint(0, 3)))
-        config = PdsConfig(rng.choice(spec.states), stack + BOTTOM)
-        label = rng.choice([r.label for r in spec.rules])
-        expected = []
-        for r in spec.rules:
-            if r.source != config.state or r.label != label:
-                continue
-            if r.top == "":
-                expected.append(PdsConfig(r.target, r.push + config.stack))
-            elif config.stack.startswith(r.top):
-                expected.append(PdsConfig(r.target, r.push + config.stack[1:]))
-        assert list(pds_successors(spec, config, label)) == expected
+        twin = dataclasses.replace(spec)
+        before = (repr(spec), hash(spec))
+        index = spec.index
+        assert spec.index is index  # built once
+        assert spec.labels and spec.alphabet
+        assert (repr(spec), hash(spec)) == before and spec == twin
+        assert twin.index is not index and twin.index == index
+        assert strip_receives(spec).index is not index
 
 
 def test_initial_is_covered():

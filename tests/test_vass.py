@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from bncover import (
     add_receives,
     complete_receives,
     finite_spec,
+    minimize,
     strip_receives,
     vass_covered_by_initial,
     vass_leq,
@@ -31,21 +33,76 @@ def test_no_broadcast_a_from_q1(relay):
     assert vass_successors(relay, cfg("q1", 0), Label.broadcast("a")) == ()
 
 
+def _active_scan(spec):
+    return [
+        t for t in spec.transitions
+        if t.label.is_broadcast
+        or spec.active_receives is None
+        or t.label.letter in spec.active_receives
+    ]
+
+
+def _with_copies(spec, rng):
+    """The spec, its receive-stripped copy and that copy with one letter back."""
+    stripped = strip_receives(spec)
+    return (spec, stripped, add_receives(stripped, rng.choice(spec.alphabet)))
+
+
 def test_successors_match_declaration_scan():
     rng = random.Random(3)
     for _ in range(30):
+        for spec in _with_copies(random_vass(rng), rng):
+            config = VassConfig(
+                rng.choice(spec.states), tuple(rng.randint(0, 2) for _ in range(spec.dim))
+            )
+            label = rng.choice([t.label for t in spec.transitions])
+            expected = []
+            for t in _active_scan(spec):
+                if t.source == config.state and t.label == label:
+                    updated = tuple(u + v for u, v in zip(config.counters, t.delta))
+                    if all(x >= 0 for x in updated):
+                        expected.append(VassConfig(t.target, updated))
+            assert list(vass_successors(spec, config, label)) == expected
+
+
+def test_pre_basis_and_min_enabling_match_declaration_scan():
+    rng = random.Random(5)
+    for _ in range(30):
+        for spec in _with_copies(random_vass(rng), rng):
+            assert spec.labels == tuple(dict.fromkeys(t.label for t in _active_scan(spec)))
+            for label in dict.fromkeys(t.label for t in spec.transitions):
+                scan = [t for t in _active_scan(spec) if t.label == label]
+                basis = tuple(
+                    VassConfig(rng.choice(spec.states),
+                               tuple(rng.randint(0, 2) for _ in range(spec.dim)))
+                    for _ in range(rng.randint(0, 3))
+                )
+                expected = [
+                    VassConfig(t.source, tuple(max(u - v, -v, 0) for u, v in zip(c.counters, t.delta)))
+                    for t in scan
+                    for c in basis
+                    if c.state == t.target
+                ]
+                assert vass_pre_basis(spec, label, basis) == minimize(expected, vass_leq)
+                enabling = [VassConfig(t.source, tuple(max(0, -v) for v in t.delta)) for t in scan]
+                assert vass_min_enabling(spec, label) == minimize(enabling, vass_leq)
+
+
+def test_index_is_per_instance_and_outside_identity():
+    rng = random.Random(7)
+    for _ in range(10):
         spec = random_vass(rng)
-        config = VassConfig(
-            rng.choice(spec.states), tuple(rng.randint(0, 2) for _ in range(spec.dim))
-        )
-        label = rng.choice([t.label for t in spec.transitions])
-        expected = []
-        for t in spec.transitions:
-            if t.source == config.state and t.label == label:
-                updated = tuple(u + v for u, v in zip(config.counters, t.delta))
-                if all(x >= 0 for x in updated):
-                    expected.append(VassConfig(t.target, updated))
-        assert list(vass_successors(spec, config, label)) == expected
+        twin = dataclasses.replace(spec)
+        before = (repr(spec), hash(spec))
+        index = spec.index
+        assert spec.index is index  # built once
+        assert spec.labels and spec.alphabet
+        assert (repr(spec), hash(spec)) == before and spec == twin
+        assert "index" not in repr(spec)
+        assert twin.index is not index and twin.index == index
+        stripped = strip_receives(spec)
+        assert stripped.index is not index
+        assert all(l.is_broadcast for l in stripped.index.by_label)
 
 
 def test_relay_pre_basis_of_broadcast_d(relay):
