@@ -175,8 +175,8 @@ def _over_cap(config, cap: int) -> bool:
 
 def _explore_rewirable(spec, n, depth, target, cap, receive_letters, max_states):
     tle = leq(spec)
-    letters = list(spec.alphabet)
-    allowed = set(letters) if receive_letters is None else set(receive_letters)
+    letters = [(a, Label.broadcast(a), Label.receive(a)) for a in spec.alphabet]
+    allowed = set(spec.alphabet) if receive_letters is None else set(receive_letters)
 
     def covers(ms) -> bool:
         return any(tle(target, c) for c in ms)
@@ -212,7 +212,8 @@ def _explore_rewirable(spec, n, depth, target, cap, receive_letters, max_states)
 
 def _rewirable_steps(spec, ms, letters, allowed, cap):
     """Successor multisets: one node broadcasts, any subset of
-    receive-capable others receives (the rest is simply left unlinked)."""
+    receive-capable others receives (the rest is simply left unlinked).
+    ``letters`` holds one ``(letter, !!letter, ??letter)`` triple per letter."""
     out = []
     tried = set()
     for i, cfg in enumerate(ms):
@@ -220,8 +221,8 @@ def _rewirable_steps(spec, ms, letters, allowed, cap):
             continue
         tried.add(cfg)
         others = ms[:i] + ms[i + 1 :]
-        for a in letters:
-            for emitted in successors(spec, cfg, Label.broadcast(a)):
+        for a, broadcast, receive in letters:
+            for emitted in successors(spec, cfg, broadcast):
                 if _over_cap(emitted, cap):
                     continue
                 per_other = []
@@ -230,7 +231,7 @@ def _rewirable_steps(spec, ms, letters, allowed, cap):
                     if a in allowed:
                         opts.extend(
                             (True, s)
-                            for s in successors(spec, o, Label.receive(a))
+                            for s in successors(spec, o, receive)
                             if not _over_cap(s, cap)
                         )
                     per_other.append(opts)

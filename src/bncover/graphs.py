@@ -103,6 +103,18 @@ class LabelledGraph:
         object.__setattr__(self, "edges", shape.edges)
         object.__setattr__(self, "shape", shape)
 
+    @cached_property
+    def state_counts(self) -> dict:
+        """Number of vertices per control state of their label, built on
+        first use; labels without a ``state`` (such as a wildcard) are not
+        counted."""
+        counts: dict = {}
+        for label in self.labels:
+            state = getattr(label, "state", None)
+            if state is not None:
+                counts[state] = counts.get(state, 0) + 1
+        return counts
+
     def adjacent(self, a: int, b: int) -> bool:
         return self.shape.adjacent(a, b)
 

@@ -127,9 +127,16 @@ def space(spec) -> VassSpace:
 
 
 def receive_total(spec) -> bool:
-    """Whether every state has a declared receive for every letter."""
+    """Whether every state has, for every letter, a declared receive that is
+    enabled in every configuration of that state: for counter models one
+    whose update never decrements, for pushdown models one that reads no
+    stack top."""
     if isinstance(spec, VassSpec):
-        have = {(t.source, t.label.letter) for t in spec.transitions if not t.label.is_broadcast}
+        have = {
+            (t.source, t.label.letter)
+            for t in spec.transitions
+            if not t.label.is_broadcast and all(x >= 0 for x in t.delta)
+        }
         return all((s, x) in have for s in spec.states for x in spec.alphabet)
     if isinstance(spec, PushdownSpec):
         have = {(r.source, r.label.letter) for r in spec.rules if not r.label.is_broadcast and r.top == ""}

@@ -11,6 +11,11 @@ the relabelled vertices from per-vertex predecessor bases of the process
 and keep a candidate only if some joint successor labelling dominates the
 original graph.
 
+An embedding needs, in the larger graph, at least as many vertices, edges
+and vertices of each control state as the smaller graph has, so
+:meth:`GraphSpace.leq` compares those counts before it searches, which
+settles most of its (mostly failing) tests.
+
 Positive verdicts at the graph level are sound when every configuration of
 the process can receive every letter (for example after receive
 completion); without that, a dominating graph may be unable to mimic a
@@ -64,6 +69,18 @@ WILDCARD = _Wildcard()
 _MAX_TABLE_ROWS = 5040
 
 
+def _counts_admit(small: LabelledGraph, large: LabelledGraph) -> bool:
+    """Whether ``large`` has at least the vertices, the edges and, per control
+    state, the vertices of that state that ``small`` has.  Every embedding
+    of ``small`` into ``large`` needs them: the process order requires equal
+    states, and a wildcard, carrying no state, counts on neither side (a
+    wildcard of ``large`` only hosts wildcards)."""
+    if small.n > large.n or len(small.edges) > len(large.edges):
+        return False
+    have = large.state_counts
+    return all(have.get(q, 0) >= k for q, k in small.state_counts.items())
+
+
 class GraphSpace:
     """Ordered space of labelled graphs for one process and topology class."""
 
@@ -79,6 +96,7 @@ class GraphSpace:
         self._config_leq = leq(spec)
         self._pre_cache: dict = {}
         self._ext_cache: dict = {}
+        self._label_pairs: dict = {}
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -92,7 +110,7 @@ class GraphSpace:
         return self._config_leq(a, b)
 
     def leq(self, t1: LabelledGraph, t2: LabelledGraph) -> bool:
-        return graph_embeds(t1, t2, self.label_leq) is not None
+        return _counts_admit(t1, t2) and graph_embeds(t1, t2, self.label_leq) is not None
 
     def covered_by_initial(self, theta: LabelledGraph) -> bool:
         return all(
@@ -106,17 +124,27 @@ class GraphSpace:
         return tuple(out)
 
     def min_enabling(self, letter: str) -> tuple[LabelledGraph, ...]:
-        return tuple(
-            single_vertex(c) for c in self._space.min_enabling(Label.broadcast(letter))
-        )
+        bl, _ = self._letter_labels(letter)
+        return tuple(single_vertex(c) for c in self._vertex_pre(WILDCARD, bl))
 
     def pre_basis_for_label(self, letter: str, thetas: Sequence[LabelledGraph]):
+        """Predecessor graphs of ``thetas``, duplicates dropped but not
+        minimized: the saturation engine minimizes them against its
+        antichain, and keeps the same elements in the same order either way
+        (the earliest of order-equivalent minimal elements)."""
         out: list[LabelledGraph] = []
         for theta in thetas:
             out.extend(self.pre_graphs(theta, letter))
-        return minimize(tuple(dict.fromkeys(out)), self.leq)
+        return tuple(dict.fromkeys(out))
 
     # -- predecessor construction -----------------------------------------
+
+    def _letter_labels(self, letter: str) -> tuple[Label, Label]:
+        """The ``!!letter`` and ``??letter`` labels, built once per letter."""
+        pair = self._label_pairs.get(letter)
+        if pair is None:
+            pair = self._label_pairs[letter] = (Label.broadcast(letter), Label.receive(letter))
+        return pair
 
     def _vertex_pre(self, label_value, label: Label):
         """Predecessor basis of one vertex label under a process label."""
@@ -161,7 +189,8 @@ class GraphSpace:
     def pre_graphs(self, theta: LabelledGraph, letter: str) -> tuple[LabelledGraph, ...]:
         """Unminimized predecessor graphs of the upward closure of ``theta``
         one ``letter`` broadcast back."""
-        bl, rl = Label.broadcast(letter), Label.receive(letter)
+        bl, rl = self._letter_labels(letter)
+        receiver_pre = [self._vertex_pre(l, rl) for l in theta.labels]
         emitted: list[LabelledGraph] = []
 
         # relabellings of theta itself around each broadcaster choice
@@ -170,25 +199,27 @@ class GraphSpace:
             if not emitter_basis:
                 continue
             nbrs = theta.neighbors(v)
-            receiver_bases = [self._vertex_pre(theta.labels[u], rl) for u in nbrs]
+            receiver_bases = [receiver_pre[u] for u in nbrs]
             if not all(receiver_bases):
                 continue
+            implied = [(v, v)] + [(u, u) for u in nbrs]
             for cv in emitter_basis:
                 for combo in itertools.product(*receiver_bases):
                     patch = {v: cv}
                     for u, cu in zip(nbrs, combo):
                         patch[u] = cu
                     before = theta.with_labels(patch)
-                    if self._one_step_reaches(before, v, letter, theta):
+                    if self._one_step_reaches(before, v, bl, rl, theta, implied):
                         emitted.append(before)
 
         # one fresh broadcaster attached in every class-admissible way
-        enabling = self._space.min_enabling(bl)
+        enabling = self._vertex_pre(WILDCARD, bl)
         if enabling:
             for ext, fresh, back, nbrs in self._extensions(theta.shape):
-                receiver_bases = [self._vertex_pre(theta.labels[back[u]], rl) for u in nbrs]
+                receiver_bases = [receiver_pre[back[u]] for u in nbrs]
                 if not all(receiver_bases):
                     continue
+                implied = [(back[u], u) for u in nbrs]
                 carried = [theta.labels[back[w]] if w != fresh else None for w in range(ext.n)]
                 for cv in enabling:
                     for combo in itertools.product(*receiver_bases):
@@ -197,23 +228,35 @@ class GraphSpace:
                         for u, cu in zip(nbrs, combo):
                             labels[u] = cu
                         before = ext.labelled(tuple(labels))
-                        if self._one_step_reaches(before, fresh, letter, theta):
+                        if self._one_step_reaches(before, fresh, bl, rl, theta, implied):
                             emitted.append(before)
         return tuple(emitted)
 
-    def _one_step_reaches(self, before: LabelledGraph, v: int, letter: str, theta: LabelledGraph) -> bool:
+    def _one_step_reaches(
+        self, before: LabelledGraph, v: int, bl: Label, rl: Label, theta: LabelledGraph, implied
+    ) -> bool:
         """Whether some joint successor labelling of ``before`` (vertex ``v``
-        broadcasting ``letter``) dominates ``theta``."""
-        emit = self._space.successors(before.labels[v], Label.broadcast(letter))
+        broadcasting by ``bl``, its neighbors receiving by ``rl``) dominates
+        ``theta``.
+
+        ``before`` was built from ``theta`` by relabelling ``v``, or adding
+        it as a fresh vertex, and relabelling its neighbors; ``implied``
+        pairs each relabelled vertex of ``theta`` with its image in
+        ``before``.  The embedding of the construction keeps edges,
+        non-edges and every other label, so it is tried first by comparing
+        those pairs alone; the general search runs only when it fails.
+        """
+        emit = self._space.successors(before.labels[v], bl)
         nbrs = before.neighbors(v)
-        recv = [self._space.successors(before.labels[u], Label.receive(letter)) for u in nbrs]
+        recv = [self._space.successors(before.labels[u], rl) for u in nbrs]
         for ev in emit:
             for choice in itertools.product(*recv):
                 patch = {v: ev}
                 for u, cu in zip(nbrs, choice):
                     patch[u] = cu
-                after = before.with_labels(patch)
-                if graph_embeds(theta, after, self.label_leq) is not None:
+                if all(self.label_leq(theta.labels[i], patch[w]) for i, w in implied):
+                    return True
+                if self.leq(theta, before.with_labels(patch)):
                     return True
         return False
 

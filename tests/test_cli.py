@@ -185,3 +185,23 @@ def test_diff_reports_ignores_times_and_names_each_difference(relay_model, tmp_p
     assert "result 0" in differs.stdout and "iterations" in differs.stdout
     (tmp_path / "empty").mkdir()
     assert diff("empty", "empty").returncode == 2
+
+
+def test_dump_results_writes_each_decider_result_and_witness(relay_model):
+    import importlib.util
+
+    path = Path(__file__).parent.parent / "scripts" / "dump_results.py"
+    loader = importlib.util.spec_from_file_location("dump_results", path)
+    dump_results = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(dump_results)
+
+    deciders = [getattr(cli, d) for d in dump_results.DECIDERS]
+    lines = dump_results.result_lines("relay", relay_model, want_witness=True)
+    assert [getattr(cli, d) for d in dump_results.DECIDERS] == deciders
+    assert lines == dump_results.result_lines("relay", relay_model, want_witness=True)
+    rbn, static = [line for line in lines if " result: " in line]
+    assert rbn.startswith("relay 0 rbn coverable result: RbnResult(") and "trace=" in rbn
+    assert static.startswith("relay 1 path-bounded:2 not-coverable result: Verdict(")
+    assert "basis=(LabelledGraph(" in static
+    witness = [line for line in lines if " witness: " in line]
+    assert len(witness) == 1 and witness[0].startswith("relay 0 rbn coverable witness: (RunStep(")

@@ -102,6 +102,40 @@ def test_embeds_agrees_with_brute_force():
     assert same_shape_hits >= 30
 
 
+def test_counting_prefilter_never_rejects_an_embedding():
+    from bncover.static_cover import WILDCARD, _counts_admit
+
+    def label_leq(a, b):
+        return a is WILDCARD or (b is not WILDCARD and vass_leq(a, b))
+
+    def wild(g, share):
+        return g.shape.labelled(tuple(WILDCARD if rng.random() < share else l for l in g.labels))
+
+    rng = random.Random(73)
+    embedded = rejected = 0
+    for i in range(300):
+        small = random_labelled_graph(rng, max_n=4, max_counter=1)
+        if i % 2:
+            # a supergraph: extra vertices, extra edges to them, larger counters
+            extra = rng.randint(0, 2)
+            n = small.n + extra
+            edges = set(small.edges) | {
+                (a, b) for b in range(small.n, n) for a in range(b) if rng.random() < 0.5
+            }
+            labels = tuple(cfg(l.state, l.counters[0] + rng.randint(0, 1)) for l in small.labels)
+            labels += tuple(cfg(rng.choice("pq"), 1) for _ in range(extra))
+            large = LabelledGraph(n, frozenset(edges), labels)
+        else:
+            large = random_labelled_graph(rng, max_n=5, max_counter=1)
+        small, large = wild(small, 0.3), wild(large, 0.15)
+        admitted = _counts_admit(small, large)
+        if embeds_brute(small, large, label_leq):
+            assert admitted, (small, large)
+            embedded += 1
+        rejected += not admitted
+    assert embedded >= 60 and rejected >= 60
+
+
 def test_embedding_is_reflexive_and_transitive():
     rng = random.Random(67)
     graphs = [random_labelled_graph(rng, max_n=4) for _ in range(12)]
@@ -323,8 +357,9 @@ def test_labelled_graphs_share_their_shape():
     h = g.with_labels({0: cfg("q", 1)})
     assert h.shape is g.shape and h.edges is g.edges
     same = g.shape.labelled(g.labels)
+    assert g.state_counts == {"p": 3} and h.state_counts == {"p": 2, "q": 1}
     assert same == g and hash(same) == hash(g) and repr(same) == repr(g)
-    assert "shape" not in repr(g)
+    assert "shape" not in repr(g) and "state_counts" not in repr(g)
     assert g.neighbors(1) == (0, 2) and g.shape.degree(1) == 2 and not g.adjacent(0, 2)
     with pytest.raises(ValueError):
         g.shape.labelled((cfg("p", 0),))

@@ -21,6 +21,7 @@ from bncover import (
     finite_spec,
     graph_embeds,
     in_class,
+    minimize,
     replay,
     single_vertex,
     static_coverable,
@@ -302,3 +303,155 @@ def test_static_rejects_non_static_classes(relay):
 
     with pytest.raises(ValueError):
         static_coverable(relay, cfg("q4", 0), Reconfigurable())
+
+
+# ---------------------------------------------------------------------------
+# the graph layer's shortcuts leave every result as the plain search gives it
+
+
+def _reference_pre_graphs(spec, cls, theta, letter):
+    """Predecessor graphs built without shortcuts: per-vertex bases looked up
+    for every candidate, and a candidate kept exactly when the plain
+    embedding search finds ``theta`` below one of its successors."""
+    import itertools
+
+    from bncover import Graph, enumerate_extensions, graph_injections
+
+    space = VassSpace(spec)
+    bl, rl = Label.broadcast(letter), Label.receive(letter)
+
+    def label_leq(a, b):
+        return a is WILDCARD or (b is not WILDCARD and vass_leq(a, b))
+
+    def vertex_pre(label_value, label):
+        if label_value is WILDCARD:
+            return space.min_enabling(label)
+        return space.pre_basis_for_label(label, (label_value,))
+
+    def reaches(before, v):
+        return any(
+            graph_embeds(theta, after, label_leq) is not None
+            for after in bn_step(spec, before, v, letter)
+        )
+
+    out = []
+    for v in range(theta.n):
+        nbrs = theta.neighbors(v)
+        for cv in vertex_pre(theta.labels[v], bl):
+            for combo in itertools.product(*(vertex_pre(theta.labels[u], rl) for u in nbrs)):
+                before = theta.with_labels({v: cv, **dict(zip(nbrs, combo))})
+                if reaches(before, v):
+                    out.append(before)
+    for ext in enumerate_extensions(theta.shape, cls):
+        ext = Graph(ext.n, ext.edges)
+        for inj in graph_injections(theta.shape, ext):
+            fresh = next(w for w in range(ext.n) if w not in inj)
+            back = {w: i for i, w in enumerate(inj)}
+            nbrs = ext.neighbors(fresh)
+            for cv in space.min_enabling(bl):
+                receivers = (vertex_pre(theta.labels[back[u]], rl) for u in nbrs)
+                for combo in itertools.product(*receivers):
+                    labels = [cv if w == fresh else theta.labels[back[w]] for w in range(ext.n)]
+                    for u, cu in zip(nbrs, combo):
+                        labels[u] = cu
+                    before = ext.labelled(tuple(labels))
+                    if reaches(before, fresh):
+                        out.append(before)
+    return tuple(out)
+
+
+def test_pre_graphs_equal_the_plain_embedding_reference():
+    rng = random.Random(151)
+    compared = emitted = 0
+    while compared < 80:
+        spec = random_receive_total(rng)
+        cls = rng.choice((PathBounded(2), PathBounded(3), Clique(), DiamDeg(2, 2)))
+        n = rng.randint(1, 3)
+        edges = frozenset(
+            (a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.6
+        )
+        shape = LabelledGraph(n, edges, (None,) * n).shape
+        if not in_class(shape, cls):
+            continue
+        labels = tuple(
+            WILDCARD if isinstance(cls, DiamDeg) and rng.random() < 0.4
+            else VassConfig(rng.choice(spec.states), tuple(rng.randint(0, 1) for _ in range(spec.dim)))
+            for _ in range(n)
+        )
+        theta = shape.labelled(labels)
+        gspace = GraphSpace(spec, cls)
+        for letter in spec.alphabet:
+            got = gspace.pre_graphs(theta, letter)
+            assert repr(got) == repr(_reference_pre_graphs(spec, cls, theta, letter)), (
+                spec, cls, theta, letter)
+            emitted += len(got)
+        compared += 1
+    assert emitted >= 200
+
+
+def test_counting_prefilter_spares_embedding_searches(relay, monkeypatch):
+    from bncover import static_cover
+
+    calls = {"leq": 0, "graph_embeds": 0}
+    plain_leq, plain_embeds = GraphSpace.leq, static_cover.graph_embeds
+
+    def counting_leq(self, t1, t2):
+        calls["leq"] += 1
+        return plain_leq(self, t1, t2)
+
+    def counting_embeds(*args):
+        calls["graph_embeds"] += 1
+        return plain_embeds(*args)
+
+    monkeypatch.setattr(GraphSpace, "leq", counting_leq)
+    monkeypatch.setattr(static_cover, "graph_embeds", counting_embeds)
+    verdict = diam_deg_coverable(relay, cfg("q4", 0), 2, 2, 4)
+    assert (verdict.coverable, verdict.iterations, len(verdict.basis)) == (False, 16, 5)
+    assert 0 < calls["graph_embeds"] < calls["leq"]
+
+
+def test_saturation_is_the_same_with_candidates_minimized_first(relay, monkeypatch):
+    from bncover import static_cover
+    from bncover.process import covered_by_initial
+
+    dropped = []
+
+    class MinimizingGraphSpace(GraphSpace):
+        """Candidates minimized before the engine's own keep loop sees them."""
+
+        def pre_basis_for_label(self, letter, thetas):
+            out = super().pre_basis_for_label(letter, thetas)
+            kept = minimize(out, self.leq)
+            dropped.append(len(out) - len(kept))
+            return kept
+
+    def decide_all():
+        out = [
+            static_coverable(relay, cfg("q4", 0), PathBounded(3)),
+            static_coverable(relay, cfg("q4", 0), Clique()),
+            diam_deg_coverable(relay, cfg("q4", 0), 2, 2, 3),
+        ]
+        rng = random.Random(157)
+        for _ in range(12):
+            spec = random_receive_total(rng)
+            for state in spec.states:
+                target = VassConfig(state, (0,) * spec.dim)
+                if covered_by_initial(spec, target):
+                    continue
+                out.append(static_coverable(spec, target, PathBounded(2)))
+                out.append(static_coverable(spec, target, Clique()))
+                out.append(diam_deg_coverable(spec, target, 2, 2, 3))
+        return out
+
+    unminimized = decide_all()
+    monkeypatch.setattr(static_cover, "GraphSpace", MinimizingGraphSpace)
+    minimized = decide_all()
+    assert repr(unminimized) == repr(minimized)
+    assert sum(v.coverable for v in minimized) >= 5
+    assert sum(not v.coverable for v in minimized) >= 10
+    assert sum(dropped) >= 100  # the minimization being skipped is not idle
+
+
+def test_relay_q4_under_diam_deg_on_four_vertices_of_degree_three(relay):
+    verdict = diam_deg_coverable(relay, cfg("q4", 0), 2, 3, 4)
+    assert (verdict.coverable, verdict.iterations, len(verdict.basis)) == (False, 43, 7)

@@ -211,6 +211,38 @@ def test_completion_totalizes_receives(relay_raw):
             assert t.delta == (0,)
 
 
+def test_receive_total_needs_receives_enabled_in_every_configuration():
+    from bncover import PdsRule, PushdownSpec, parse_model
+    from bncover.process import receive_total
+
+    from conftest import random_receive_total
+
+    # the completed model still blocks: s receives c only with a counter
+    # that can be decremented
+    decrementing = parse_model("""
+process vass dim=1
+init q vector=(0)
+trans q -> s on !!a delta=(0)
+trans q -> p on ??a delta=(0)
+trans p -> t on !!c delta=(0)
+trans s -> s on ??c delta=(-1)
+option complete-receives dead=d
+query cover state=t vector=(0) semantics=clique
+""").process
+    assert not receive_total(decrementing)
+    rng = random.Random(59)
+    assert all(receive_total(random_receive_total(rng)) for _ in range(30))
+
+    def pushdown(top):
+        return PushdownSpec(("p",), ("A",), ("p",), (
+            PdsRule("p", Label.broadcast("m"), "", "p", "A"),
+            PdsRule("p", Label.receive("m"), top, "p", ""),
+        ))
+
+    assert receive_total(pushdown(""))
+    assert not receive_total(pushdown("A"))
+
+
 def test_completion_preserves_explicit_receives(relay_raw):
     done = complete_receives(relay_raw, "sink")
     assert vass_successors(done, cfg("q6", 1), Label.receive("a")) == (cfg("q7", 2),)
