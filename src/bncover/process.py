@@ -127,19 +127,23 @@ def space(spec) -> VassSpace:
 
 
 def receive_total(spec) -> bool:
-    """Whether every state has, for every letter, a declared receive that is
+    """Whether every state has, for every letter, an active receive that is
     enabled in every configuration of that state: for counter models one
     whose update never decrements, for pushdown models one that reads no
-    stack top."""
+    stack top.  Receives that ``strip_receives`` switched off do not count."""
     if isinstance(spec, VassSpec):
         have = {
             (t.source, t.label.letter)
-            for t in spec.transitions
+            for t in spec.active_transitions()
             if not t.label.is_broadcast and all(x >= 0 for x in t.delta)
         }
         return all((s, x) in have for s in spec.states for x in spec.alphabet)
     if isinstance(spec, PushdownSpec):
-        have = {(r.source, r.label.letter) for r in spec.rules if not r.label.is_broadcast and r.top == ""}
+        have = {
+            (r.source, r.label.letter)
+            for r in spec.active_rules()
+            if not r.label.is_broadcast and r.top == ""
+        }
         return all((s, x) in have for s in spec.states for x in spec.alphabet)
     raise TypeError(f"unknown process model {type(spec).__name__}")
 

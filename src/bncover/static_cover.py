@@ -7,8 +7,8 @@ predecessor basis.  One broadcast step back, a predecessor graph arises in
 two ways: by relabelling the graph itself around a chosen broadcaster and
 its neighbors, or by extending the graph with one fresh broadcasting
 vertex attached in every class-admissible way.  Both constructions draw
-the relabelled vertices from per-vertex predecessor bases of the process
-and keep a candidate only if some joint successor labelling dominates the
+the relabelled vertices from per-vertex predecessor bases of the process,
+so every candidate has a joint successor labelling that dominates the
 original graph.
 
 An embedding needs, in the larger graph, at least as many vertices, edges
@@ -96,7 +96,6 @@ class GraphSpace:
         self._config_leq = leq(spec)
         self._pre_cache: dict = {}
         self._ext_cache: dict = {}
-        self._label_pairs: dict = {}
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -124,8 +123,9 @@ class GraphSpace:
         return tuple(out)
 
     def min_enabling(self, letter: str) -> tuple[LabelledGraph, ...]:
-        bl, _ = self._letter_labels(letter)
-        return tuple(single_vertex(c) for c in self._vertex_pre(WILDCARD, bl))
+        return tuple(
+            single_vertex(c) for c in self._space.min_enabling(Label.broadcast(letter))
+        )
 
     def pre_basis_for_label(self, letter: str, thetas: Sequence[LabelledGraph]):
         """Predecessor graphs of ``thetas``, duplicates dropped but not
@@ -138,13 +138,6 @@ class GraphSpace:
         return tuple(dict.fromkeys(out))
 
     # -- predecessor construction -----------------------------------------
-
-    def _letter_labels(self, letter: str) -> tuple[Label, Label]:
-        """The ``!!letter`` and ``??letter`` labels, built once per letter."""
-        pair = self._label_pairs.get(letter)
-        if pair is None:
-            pair = self._label_pairs[letter] = (Label.broadcast(letter), Label.receive(letter))
-        return pair
 
     def _vertex_pre(self, label_value, label: Label):
         """Predecessor basis of one vertex label under a process label."""
@@ -188,9 +181,17 @@ class GraphSpace:
 
     def pre_graphs(self, theta: LabelledGraph, letter: str) -> tuple[LabelledGraph, ...]:
         """Unminimized predecessor graphs of the upward closure of ``theta``
-        one ``letter`` broadcast back."""
-        bl, rl = self._letter_labels(letter)
-        receiver_pre = [self._vertex_pre(l, rl) for l in theta.labels]
+        one ``letter`` broadcast back.
+
+        Every candidate reaches above ``theta`` in one step, so none is
+        tested: each relabelled vertex of ``theta`` takes a configuration
+        from the pre-basis of its own label, and the fresh broadcaster one
+        from the minimal enabling configurations; the transition each
+        configuration came from fires, and for a vertex of ``theta`` lands
+        above its label.  The embedding of the construction (the identity,
+        or the table row's injection) keeps edges, non-edges and every
+        other label, so it carries ``theta`` into that successor graph."""
+        bl, rl = Label.broadcast(letter), Label.receive(letter)
         emitted: list[LabelledGraph] = []
 
         # relabellings of theta itself around each broadcaster choice
@@ -199,27 +200,23 @@ class GraphSpace:
             if not emitter_basis:
                 continue
             nbrs = theta.neighbors(v)
-            receiver_bases = [receiver_pre[u] for u in nbrs]
+            receiver_bases = [self._vertex_pre(theta.labels[u], rl) for u in nbrs]
             if not all(receiver_bases):
                 continue
-            implied = [(v, v)] + [(u, u) for u in nbrs]
             for cv in emitter_basis:
                 for combo in itertools.product(*receiver_bases):
                     patch = {v: cv}
                     for u, cu in zip(nbrs, combo):
                         patch[u] = cu
-                    before = theta.with_labels(patch)
-                    if self._one_step_reaches(before, v, bl, rl, theta, implied):
-                        emitted.append(before)
+                    emitted.append(theta.with_labels(patch))
 
         # one fresh broadcaster attached in every class-admissible way
         enabling = self._vertex_pre(WILDCARD, bl)
         if enabling:
             for ext, fresh, back, nbrs in self._extensions(theta.shape):
-                receiver_bases = [receiver_pre[back[u]] for u in nbrs]
+                receiver_bases = [self._vertex_pre(theta.labels[back[u]], rl) for u in nbrs]
                 if not all(receiver_bases):
                     continue
-                implied = [(back[u], u) for u in nbrs]
                 carried = [theta.labels[back[w]] if w != fresh else None for w in range(ext.n)]
                 for cv in enabling:
                     for combo in itertools.product(*receiver_bases):
@@ -227,38 +224,8 @@ class GraphSpace:
                         labels[fresh] = cv
                         for u, cu in zip(nbrs, combo):
                             labels[u] = cu
-                        before = ext.labelled(tuple(labels))
-                        if self._one_step_reaches(before, fresh, bl, rl, theta, implied):
-                            emitted.append(before)
+                        emitted.append(ext.labelled(tuple(labels)))
         return tuple(emitted)
-
-    def _one_step_reaches(
-        self, before: LabelledGraph, v: int, bl: Label, rl: Label, theta: LabelledGraph, implied
-    ) -> bool:
-        """Whether some joint successor labelling of ``before`` (vertex ``v``
-        broadcasting by ``bl``, its neighbors receiving by ``rl``) dominates
-        ``theta``.
-
-        ``before`` was built from ``theta`` by relabelling ``v``, or adding
-        it as a fresh vertex, and relabelling its neighbors; ``implied``
-        pairs each relabelled vertex of ``theta`` with its image in
-        ``before``.  The embedding of the construction keeps edges,
-        non-edges and every other label, so it is tried first by comparing
-        those pairs alone; the general search runs only when it fails.
-        """
-        emit = self._space.successors(before.labels[v], bl)
-        nbrs = before.neighbors(v)
-        recv = [self._space.successors(before.labels[u], rl) for u in nbrs]
-        for ev in emit:
-            for choice in itertools.product(*recv):
-                patch = {v: ev}
-                for u, cu in zip(nbrs, choice):
-                    patch[u] = cu
-                if all(self.label_leq(theta.labels[i], patch[w]) for i, w in implied):
-                    return True
-                if self.leq(theta, before.with_labels(patch)):
-                    return True
-        return False
 
 
 def static_pre_basis(spec, theta: LabelledGraph, cls: TopologyClass) -> tuple[LabelledGraph, ...]:

@@ -231,7 +231,15 @@ query cover state=t vector=(0) semantics=clique
 """).process
     assert not receive_total(decrementing)
     rng = random.Random(59)
-    assert all(receive_total(random_receive_total(rng)) for _ in range(30))
+    total = [random_receive_total(rng) for _ in range(30)]
+    assert all(receive_total(spec) for spec in total)
+    # receives switched off by rbn unlocking do not count, until re-enabled
+    for spec in total:
+        stripped = strip_receives(spec)
+        for letter in spec.alphabet:
+            assert receive_total(stripped) is False
+            stripped = add_receives(stripped, letter)
+        assert receive_total(stripped)
 
     def pushdown(top):
         return PushdownSpec(("p",), ("A",), ("p",), (
@@ -241,6 +249,8 @@ query cover state=t vector=(0) semantics=clique
 
     assert receive_total(pushdown(""))
     assert not receive_total(pushdown("A"))
+    assert not receive_total(strip_receives(pushdown("")))
+    assert receive_total(add_receives(strip_receives(pushdown("")), "m"))
 
 
 def test_completion_preserves_explicit_receives(relay_raw):
