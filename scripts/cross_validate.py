@@ -5,9 +5,10 @@ Checks between routes that share no decision logic: backward saturation
 against bounded forward search, the rewiring decider against plain
 coverability on broadcast-only models, the rewiring decider against
 forward exploration on small node counts, pushdown saturation against
-bounded forward search, and the fixed-topology deciders (path-bounded,
+bounded forward search, the fixed-topology deciders (path-bounded,
 clique, diam-deg) against forward exploration on 2-3 nodes and against
-replay of their own witness runs.
+replay of their own witness runs, and every rbn positive on counter
+models against replay of the witness composed from its unlocking chains.
 """
 
 import argparse
@@ -26,11 +27,13 @@ from bncover import (
     Reconfigurable,
     VassConfig,
     VassSpace,
+    WitnessExtractionFailed,
     backward_coverability,
     diam_deg_coverable,
     explore,
     pds_coverable,
     rbn_coverable,
+    rbn_witness,
     replay,
     static_coverable,
     static_witness_run,
@@ -143,6 +146,38 @@ def sweep_static_vs_explore(rng, rounds):
     return agreed, 0
 
 
+def sweep_rbn_vs_composed_witness(rng, rounds):
+    """On counter models whose receives may decrement and need not be
+    total, every rbn positive yields a witness composed from the unlocking
+    chains that replays and covers the target.  Prints every
+    disagreement, then fails."""
+    agreed = 0
+    disagreements = []
+    for _ in range(rounds):
+        spec = random_vass(rng, max_states=5, max_dim=3, max_trans=14, letters="abc")
+        for state in spec.states:
+            target = VassConfig(state, tuple(rng.choice((0, 1)) for _ in range(spec.dim)))
+            result = rbn_coverable(spec, target)
+            if not result.coverable:
+                continue
+            try:
+                run = rbn_witness(spec, target, result.trace, chain=result.verdict.chain)
+            except WitnessExtractionFailed as exc:
+                disagreements.append(f"rbn positive without a witness ({exc}): {spec} {target}")
+                continue
+            outcome = replay(spec, run)
+            if not outcome:
+                disagreements.append(f"witness fails replay ({outcome.reason}): {spec} {target}")
+            elif not any(vass_leq(target, c) for c in run[-1].graph.labels):
+                disagreements.append(f"witness does not cover the target: {spec} {target}")
+            else:
+                agreed += 1
+    for line in disagreements:
+        print(f"  disagreement: {line}")
+    assert not disagreements, f"{len(disagreements)} disagreements"
+    return agreed, 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rounds", type=int, default=100)
@@ -156,6 +191,7 @@ def main():
         ("explore-positive vs rewiring", sweep_explore_vs_rewiring),
         ("pushdown vs bounded-forward", sweep_pushdown_vs_forward),
         ("fixed-topology vs explore and replay", sweep_static_vs_explore),
+        ("rbn positive vs composed witness", sweep_rbn_vs_composed_witness),
     ]:
         agreed, skipped = sweep(rng, args.rounds)
         note = f", {skipped} skipped (bounds hit)" if skipped else ""

@@ -17,7 +17,7 @@ import time
 from typing import Optional
 
 from .explore import explore, replay
-from .graphs import Clique, DiamDeg, PathBounded, Reconfigurable
+from .graphs import Clique, DiamDeg, PathBounded, Reconfigurable, TopologyClass
 from .modelfile import ModelError, ModelFile, Query, parse_model
 from .order import ResourceExhausted, ResourceLimits
 from .rbn import WitnessExtractionFailed, rbn_coverable, rbn_witness
@@ -29,7 +29,12 @@ VERDICT_NOT = "not-coverable"
 VERDICT_EXHAUSTED = "resource-exhausted"
 
 
-def _query_class(query: Query):
+def _topology(query: Query) -> TopologyClass:
+    """The topology class that ``query``'s semantics ranges over."""
+    if query.semantics == "rbn":
+        return Reconfigurable()
+    if query.semantics == "diam-deg":
+        return DiamDeg(query.params[0], query.params[1])
     if query.semantics == "path-bounded":
         return PathBounded(query.params[0])
     if query.semantics == "clique":
@@ -64,9 +69,11 @@ def run_query(
             trace_rows = tuple((r.unlocked, len(r.queries)) for r in result.trace.rounds)
             if want_witness and result.coverable:
                 try:
-                    witness = rbn_witness(spec, target, result.trace)
+                    witness = rbn_witness(
+                        spec, target, result.trace, chain=result.verdict.chain
+                    )
                 except (WitnessExtractionFailed, ResourceExhausted):
-                    # the verdict is decided; only the search for a run gave up
+                    # the verdict is decided; only the construction of a run gave up
                     witness = None
         elif query.semantics == "diam-deg":
             k, d, n_max = query.params
@@ -76,11 +83,11 @@ def run_query(
             basis_size = len(verdict_obj.basis)
             if want_witness and verdict_obj.coverable:
                 try:
-                    witness = static_witness_run(spec, verdict_obj, DiamDeg(k, d))
+                    witness = static_witness_run(spec, verdict_obj, _topology(query))
                 except RuntimeError:
                     witness = None
         else:
-            cls = _query_class(query)
+            cls = _topology(query)
             verdict_obj = static_coverable(spec, target, cls, limits)
             verdict = VERDICT_COVERABLE if verdict_obj.coverable else VERDICT_NOT
             iterations = verdict_obj.iterations
@@ -164,14 +171,6 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _semantics_of(query: Query):
-    if query.semantics == "rbn":
-        return Reconfigurable()
-    if query.semantics == "diam-deg":
-        return DiamDeg(query.params[0], query.params[1])
-    return _query_class(query)
-
-
 def _cmd_explore(args) -> int:
     model = _load_model(args.model)
     if model is None:
@@ -182,7 +181,7 @@ def _cmd_explore(args) -> int:
         try:
             run = explore(
                 model.process,
-                _semantics_of(query),
+                _topology(query),
                 args.nodes,
                 args.depth,
                 target,

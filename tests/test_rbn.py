@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -17,12 +18,13 @@ from bncover import (
     rbn_coverable,
     rbn_witness,
     replay,
+    run_queries,
     vass_leq,
 )
 from bncover import rbn
 from bncover.graphs import Reconfigurable
 from bncover.process import broadcast_enabling_basis, leq
-from bncover.rbn import rbn_unlock
+from bncover.rbn import WITNESS_NODE_CAP, rbn_unlock
 
 from conftest import MODELS, cfg, random_finite, random_pushdown, random_vass
 
@@ -220,3 +222,205 @@ def test_limits_are_part_of_the_memo_key(relay):
     assert rbn_unlock.cache_info().currsize == 2
     with pytest.raises(ResourceExhausted):
         rbn_coverable(relay, cfg("q4", 0), ResourceLimits(max_basis=1))
+
+
+# -- witnesses composed from the unlocking chains ------------------------------
+
+# counter models 7 and 41 of the rbn-vass benchmark suite (bench/gen.py),
+# whose covering runs for s8 and s7 need more than 8 broadcasts on 4 nodes
+VASS7 = """\
+process vass dim=3
+init s0 vector=(1,1,1)
+trans s5 -> s8 on ??a delta=(-1,+0,+0)
+trans s1 -> s3 on ??c delta=(-1,+0,+1)
+trans s7 -> s7 on ??b delta=(-1,+0,+0)
+trans s8 -> s3 on !!b delta=(+0,+0,-1)
+trans s9 -> s2 on ??d delta=(-1,+0,+1)
+trans s1 -> s9 on ??c delta=(+0,+1,+0)
+trans s7 -> s1 on ??c delta=(+0,+1,+1)
+trans s9 -> s7 on ??a delta=(+0,+0,+0)
+trans s0 -> s1 on !!b delta=(-1,+0,+0)
+trans s4 -> s0 on ??a delta=(+1,+1,+1)
+trans s7 -> s9 on ??c delta=(+1,+0,+0)
+trans s7 -> s9 on !!d delta=(+1,+0,+1)
+trans s9 -> s7 on ??b delta=(+0,-1,-1)
+trans s5 -> s9 on ??c delta=(+0,-1,-1)
+trans s6 -> s5 on !!a delta=(-1,-1,+0)
+trans s2 -> s0 on !!d delta=(-1,-1,-1)
+trans s0 -> s5 on ??a delta=(+0,-1,+1)
+trans s9 -> s1 on ??d delta=(+1,+1,-1)
+trans s3 -> s9 on ??b delta=(+0,+1,+0)
+trans s1 -> s6 on !!c delta=(+0,+0,+0)
+trans s7 -> s7 on !!c delta=(-1,+0,+0)
+trans s3 -> s1 on !!c delta=(+0,+0,+1)
+trans s6 -> s0 on ??b delta=(+1,+0,+0)
+trans s7 -> s3 on ??b delta=(+1,-1,+1)
+trans s6 -> s6 on ??b delta=(-1,+0,+1)
+trans s6 -> s9 on !!c delta=(+0,+1,+0)
+trans s9 -> s2 on ??c delta=(+0,+1,+1)
+trans s0 -> s4 on ??a delta=(-1,-1,+1)
+trans s1 -> s1 on ??a delta=(+0,+0,+0)
+trans s8 -> s2 on ??a delta=(-1,+1,-1)
+query cover state=s8 vector=(0,0,0) semantics=rbn
+"""
+
+VASS41 = """\
+process vass dim=3
+init s0 vector=(1,1,1)
+trans s8 -> s3 on !!b delta=(+1,+1,-1)
+trans s1 -> s3 on !!d delta=(+1,-1,+0)
+trans s7 -> s1 on ??d delta=(+0,+0,+1)
+trans s3 -> s8 on ??b delta=(-1,+0,+0)
+trans s6 -> s1 on !!b delta=(-1,+0,+0)
+trans s1 -> s3 on ??a delta=(+0,+1,-1)
+trans s8 -> s7 on ??a delta=(+0,-1,+0)
+trans s2 -> s8 on !!a delta=(+0,-1,+0)
+trans s4 -> s6 on !!c delta=(+0,+0,+0)
+trans s6 -> s0 on ??a delta=(+0,-1,+1)
+trans s1 -> s5 on ??a delta=(+0,+0,-1)
+trans s3 -> s1 on !!b delta=(-1,+0,+0)
+trans s7 -> s2 on !!d delta=(-1,+0,+1)
+trans s9 -> s2 on !!b delta=(-1,-1,+1)
+trans s1 -> s1 on ??b delta=(-1,+0,+1)
+trans s7 -> s0 on ??d delta=(+0,+0,+1)
+trans s1 -> s6 on !!c delta=(+0,-1,-1)
+trans s0 -> s5 on !!b delta=(+0,+0,+0)
+trans s2 -> s0 on !!a delta=(-1,+0,+0)
+trans s5 -> s4 on !!d delta=(+1,+1,+1)
+trans s8 -> s9 on !!a delta=(-1,-1,+0)
+trans s3 -> s3 on ??b delta=(+1,+0,+0)
+trans s4 -> s4 on ??d delta=(+0,+0,-1)
+trans s7 -> s2 on ??d delta=(-1,+0,-1)
+trans s3 -> s8 on !!b delta=(+1,-1,+0)
+trans s3 -> s5 on !!b delta=(-1,+1,+0)
+trans s5 -> s5 on !!b delta=(+0,+1,+0)
+trans s3 -> s9 on ??c delta=(-1,-1,+0)
+trans s6 -> s2 on ??b delta=(+0,+0,+1)
+trans s2 -> s2 on !!d delta=(+0,+0,+0)
+query cover state=s7 vector=(0,0,0) semantics=rbn
+"""
+
+
+def random_counter_model(rng: random.Random) -> str:
+    """Counter model text in the manner of the benchmark's counter suite:
+    random source, sigil, letter, update in {-1, 0, 0, +1} per counter
+    (receives included, so receives may block) and target; one rbn query
+    per non-initial state the transitions mention."""
+    states = [f"s{i}" for i in range(rng.randint(3, 7))]
+    dim = rng.randint(1, 3)
+    lines = [f"process vass dim={dim}", f"init s0 vector=({','.join('1' * dim)})"]
+    mentioned = set()
+    for _ in range(rng.randint(6, 20)):
+        src, dst = rng.choice(states), rng.choice(states)
+        mentioned |= {src, dst}
+        delta = ",".join(f"{rng.choice((-1, 0, 0, 1)):+d}" for _ in range(dim))
+        lines.append(
+            f"trans {src} -> {dst} on {rng.choice(('!!', '??'))}{rng.choice('abc')} delta=({delta})"
+        )
+    zero = ",".join("0" * dim)
+    lines += [
+        f"query cover state={s} vector=({zero}) semantics=rbn"
+        for s in states[1:]
+        if s in mentioned
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _refuse_search(*args, **kwargs):
+    raise AssertionError("the bounded explorer ran")
+
+
+def assert_witnesses(model, report) -> int:
+    """Every positive row carries a run that replays and covers its target;
+    returns how many positives there were."""
+    positives = 0
+    tle = leq(model.process)
+    for query, row in zip(model.queries, report.results):
+        if row.verdict != "coverable":
+            continue
+        positives += 1
+        run = row.witness
+        assert run is not None, (query, "witness missing")
+        outcome = replay(model.process, run)
+        assert outcome, (query, outcome.reason)
+        assert any(tle(query.target(model.process), c) for c in run[-1].graph.labels), query
+    return positives
+
+
+def test_former_bench_failures_get_composed_witnesses(monkeypatch):
+    monkeypatch.setattr(rbn, "explore", _refuse_search)
+    calls = []
+    plain = rbn.coverable
+
+    def counting(spec, target, limits=None):
+        calls.append(target)
+        return plain(spec, target, limits)
+
+    monkeypatch.setattr(rbn, "coverable", counting)
+    for text in (VASS7, VASS41):
+        model = parse_model(text)
+        rbn_unlock.cache_clear()
+        calls.clear()
+        report = run_queries(model, "bench", want_witness=True)
+        assert assert_witnesses(model, report) == 1
+        # building the witness decides nothing again
+        assert len(calls) == report.results[0].inner_queries + 1
+        run = report.results[0].witness
+        assert run[0].graph.n > 4 or sum(s.kind == "broadcast" for s in run) > 8
+
+
+def test_counter_models_with_blocking_receives_get_witnesses(monkeypatch):
+    monkeypatch.setattr(rbn, "explore", _refuse_search)
+    rng = random.Random(149)
+    positives = 0
+    for _ in range(60):
+        model = parse_model(random_counter_model(rng))
+        positives += assert_witnesses(model, run_queries(model, "random", want_witness=True))
+    assert positives >= 60
+
+
+def doubling_spec(levels: int):
+    """Broadcasting ``a<i>`` takes two receives of ``a<i-1>``, each from a
+    node of its own, so covering ``x<levels>_3`` takes 2^(levels+1) - 1 nodes."""
+    states = ["y0", "y1"]
+    trans = [("y0", Label.broadcast("a0"), "y1")]
+    for i in range(1, levels + 1):
+        x = [f"x{i}_{j}" for j in range(4)]
+        states += x
+        trans += [
+            (x[0], Label.receive(f"a{i - 1}"), x[1]),
+            (x[1], Label.receive(f"a{i - 1}"), x[2]),
+            (x[2], Label.broadcast(f"a{i}"), x[3]),
+        ]
+    initial = ["y0"] + [f"x{i}_0" for i in range(1, levels + 1)]
+    return finite_spec(states, initial, trans)
+
+
+def test_composed_run_may_use_every_node_up_to_the_cap():
+    spec = doubling_spec(5)
+    target = VassConfig("x5_3")
+    result = rbn_coverable(spec, target)
+    run = rbn_witness(spec, target, result.trace, chain=result.verdict.chain)
+    assert run[0].graph.n == 63 <= WITNESS_NODE_CAP
+    assert replay(spec, run)
+
+
+def test_composition_past_the_node_cap_fails_naming_the_cap(monkeypatch):
+    monkeypatch.setattr(rbn, "explore", _refuse_search)
+    spec = doubling_spec(6)
+    target = VassConfig("x6_3")
+    result = rbn_coverable(spec, target)
+    assert result.coverable
+    with pytest.raises(WitnessExtractionFailed, match=str(WITNESS_NODE_CAP)):
+        rbn_witness(spec, target, result.trace, chain=result.verdict.chain)
+
+
+def test_unlocking_chains_stay_out_of_trace_equality(relay):
+    trace = rbn_coverable(relay, cfg("q4", 0)).trace
+    assert set(trace.chains) == trace.final_unlocked
+    assert all(chain is not None for chain in trace.chains.values())
+    bare = dataclasses.replace(trace, chains={})
+    assert bare == trace
+    assert hash(bare) == hash(trace)
+    assert repr(bare) == repr(trace)
+    assert "chains" not in repr(trace)
