@@ -26,7 +26,6 @@ from bncover import (
     PdsConfig,
     Reconfigurable,
     VassConfig,
-    VassSpace,
     WitnessExtractionFailed,
     backward_coverability,
     diam_deg_coverable,
@@ -51,7 +50,7 @@ def sweep_backward_vs_forward(rng, rounds):
             rng.choice(spec.states), tuple(rng.choice((0, 1)) for _ in range(spec.dim))
         )
         covered, complete = forward_cover(spec, target)
-        verdict = backward_coverability(VassSpace(spec), target)
+        verdict = backward_coverability(spec, target)
         if covered:
             assert verdict.coverable, (spec, target)
             agreed += 1
@@ -69,7 +68,7 @@ def sweep_rewiring_vs_plain(rng, rounds):
         target = VassConfig(
             rng.choice(spec.states), tuple(rng.choice((0, 1)) for _ in range(spec.dim))
         )
-        plain = backward_coverability(VassSpace(spec), target)
+        plain = backward_coverability(spec, target)
         assert rbn_coverable(spec, target).coverable == plain.coverable, (spec, target)
     return rounds, 0
 

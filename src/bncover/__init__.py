@@ -57,11 +57,7 @@ from .pushdown import (
     PdsRule,
     PushdownSpec,
     pds_coverable,
-    pds_covered_by_initial,
-    pds_initial_configs,
     pds_leq,
-    pds_min_enabling,
-    pds_successors,
 )
 from .rbn import (
     QueryRecord,
@@ -91,17 +87,13 @@ from .static_cover import (
 from .vass import (
     Label,
     VassConfig,
-    VassSpace,
     VassSpec,
     VassTransition,
     add_receives,
     complete_receives,
     finite_spec,
     strip_receives,
-    vass_covered_by_initial,
-    vass_initial_configs,
     vass_leq,
-    vass_min_enabling,
     vass_pre_basis,
     vass_successors,
 )

@@ -5,7 +5,9 @@
     bncover replay model.bn --witness run.json
 
 Exit status: 0 when every query completed, 2 when some query exhausted its
-resource limits, 1 on input errors (and on a failed replay).
+resource limits (for ``explore``, its state budget: the remaining queries
+still run and the first run found is still written), 1 on input errors
+(and on a failed replay).
 """
 
 from __future__ import annotations
@@ -61,42 +63,25 @@ def run_query(
     try:
         if query.semantics == "rbn":
             result = rbn_coverable(spec, target, limits)
-            verdict = VERDICT_COVERABLE if result.coverable else VERDICT_NOT
-            iterations = result.verdict.iterations
-            basis_size = len(result.verdict.basis)
+            decided = result.verdict
             sweeps = len(result.trace.rounds)
             inner = result.trace.total_queries
             trace_rows = tuple((r.unlocked, len(r.queries)) for r in result.trace.rounds)
-            if want_witness and result.coverable:
-                try:
-                    witness = rbn_witness(
-                        spec, target, result.trace, chain=result.verdict.chain
-                    )
-                except (WitnessExtractionFailed, ResourceExhausted):
-                    # the verdict is decided; only the construction of a run gave up
-                    witness = None
         elif query.semantics == "diam-deg":
-            k, d, n_max = query.params
-            verdict_obj = diam_deg_coverable(spec, target, k, d, n_max, limits)
-            verdict = VERDICT_COVERABLE if verdict_obj.coverable else VERDICT_NOT
-            iterations = verdict_obj.iterations
-            basis_size = len(verdict_obj.basis)
-            if want_witness and verdict_obj.coverable:
-                try:
-                    witness = static_witness_run(spec, verdict_obj, _topology(query))
-                except RuntimeError:
-                    witness = None
+            decided = diam_deg_coverable(spec, target, *query.params, limits)
         else:
-            cls = _topology(query)
-            verdict_obj = static_coverable(spec, target, cls, limits)
-            verdict = VERDICT_COVERABLE if verdict_obj.coverable else VERDICT_NOT
-            iterations = verdict_obj.iterations
-            basis_size = len(verdict_obj.basis)
-            if want_witness and verdict_obj.coverable:
-                try:
-                    witness = static_witness_run(spec, verdict_obj, cls)
-                except RuntimeError:
-                    witness = None
+            decided = static_coverable(spec, target, _topology(query), limits)
+        verdict = VERDICT_COVERABLE if decided.coverable else VERDICT_NOT
+        iterations, basis_size = decided.iterations, len(decided.basis)
+        if want_witness and decided.coverable:
+            try:
+                if query.semantics == "rbn":
+                    witness = rbn_witness(spec, target, result.trace, chain=decided.chain)
+                else:
+                    witness = static_witness_run(spec, decided, _topology(query))
+            except (WitnessExtractionFailed, ResourceExhausted, RuntimeError):
+                # the verdict is decided; only the construction of a run gave up
+                witness = None
     except ResourceExhausted as exc:
         verdict = VERDICT_EXHAUSTED
         iterations, basis_size = exc.iterations, exc.basis_size
@@ -176,6 +161,7 @@ def _cmd_explore(args) -> int:
     if model is None:
         return 1
     found = None
+    status = 0
     for i, query in enumerate(model.queries):
         target = query.target(model.process)
         try:
@@ -189,7 +175,8 @@ def _cmd_explore(args) -> int:
             )
         except ResourceExhausted as exc:
             print(f"query {i}: exploration exhausted ({exc})")
-            return 2
+            status = 2
+            continue
         if run is None:
             print(
                 f"query {i}: no covering run within {args.nodes} nodes, depth "
@@ -206,7 +193,7 @@ def _cmd_explore(args) -> int:
         with open(args.witness, "w") as fh:
             json.dump(run_to_json(found), fh, indent=2)
         print(f"witness written to {args.witness}")
-    return 0
+    return status
 
 
 def _cmd_replay(args) -> int:

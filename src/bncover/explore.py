@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .graphs import (
@@ -22,9 +23,9 @@ from .graphs import (
     in_class,
 )
 from .order import ResourceExhausted
-from .process import config_key, initial_configs, leq, successors
-from .pushdown import PdsConfig
-from .vass import Label, VassConfig
+from .vass import Label
+
+_sort_key = attrgetter("sort_key")
 
 
 class SelfLoopError(ValueError):
@@ -60,11 +61,11 @@ def bn_step(spec, theta: LabelledGraph, vertex: int, letter: str) -> tuple[Label
 
     Empty when the vertex cannot broadcast or some neighbor cannot receive.
     """
-    emit = successors(spec, theta.labels[vertex], Label.broadcast(letter))
+    emit = spec.successors(theta.labels[vertex], Label.broadcast(letter))
     if not emit:
         return ()
     nbrs = theta.neighbors(vertex)
-    recv = [successors(spec, theta.labels[u], Label.receive(letter)) for u in nbrs]
+    recv = [spec.successors(theta.labels[u], Label.receive(letter)) for u in nbrs]
     if not all(recv):
         return ()
     out = []
@@ -97,7 +98,7 @@ def replay(spec, run: Sequence[RunStep]) -> ReplayResult:
     head = run[0]
     if head.kind != "init":
         return ReplayResult(False, 0, "run must open with an init step")
-    inits = set(initial_configs(spec))
+    inits = set(spec.initial_configs())
     if any(l not in inits for l in head.graph.labels):
         return ReplayResult(False, 0, "labels are not initial configurations")
     prev = head.graph
@@ -111,14 +112,14 @@ def replay(spec, run: Sequence[RunStep]) -> ReplayResult:
             v, a = step.vertex, step.letter
             if v is None or a is None or not (0 <= v < g.n):
                 return ReplayResult(False, i, "broadcast step lacks a valid vertex/letter")
-            if g.labels[v] not in successors(spec, prev.labels[v], Label.broadcast(a)):
+            if g.labels[v] not in spec.successors(prev.labels[v], Label.broadcast(a)):
                 return ReplayResult(False, i, f"vertex {v} has no matching !!{a} transition")
             nbrs = set(prev.neighbors(v))
             for u in range(g.n):
                 if u == v:
                     continue
                 if u in nbrs:
-                    if g.labels[u] not in successors(spec, prev.labels[u], Label.receive(a)):
+                    if g.labels[u] not in spec.successors(prev.labels[u], Label.receive(a)):
                         return ReplayResult(False, i, f"neighbor {u} has no matching ??{a} transition")
                 elif g.labels[u] != prev.labels[u]:
                     return ReplayResult(False, i, f"non-neighbor {u} changed its label")
@@ -158,6 +159,8 @@ def explore(
         raise ValueError("need at least one node")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    if counter_cap < 0:
+        raise ValueError("counter cap must be nonnegative")
     if isinstance(semantics, Reconfigurable):
         return _explore_rewirable(
             spec, n_nodes, depth, target, counter_cap, receive_letters, max_states
@@ -165,16 +168,8 @@ def explore(
     return _explore_static(spec, semantics, n_nodes, depth, target, counter_cap, max_states)
 
 
-def _over_cap(config, cap: int) -> bool:
-    if isinstance(config, VassConfig):
-        return any(c > cap for c in config.counters)
-    if isinstance(config, PdsConfig):
-        return len(config.stack) > cap + 1
-    return False
-
-
 def _explore_rewirable(spec, n, depth, target, cap, receive_letters, max_states):
-    tle = leq(spec)
+    tle = spec.leq
     letters = [(a, Label.broadcast(a), Label.receive(a)) for a in spec.alphabet]
     allowed = set(spec.alphabet) if receive_letters is None else set(receive_letters)
 
@@ -183,7 +178,7 @@ def _explore_rewirable(spec, n, depth, target, cap, receive_letters, max_states)
 
     parents: dict = {}
     frontier = []
-    inits = sorted(initial_configs(spec), key=config_key)
+    inits = sorted(spec.initial_configs(), key=_sort_key)
     for ms in itertools.combinations_with_replacement(inits, n):
         if ms in parents:
             continue
@@ -222,8 +217,8 @@ def _rewirable_steps(spec, ms, letters, allowed, cap):
         tried.add(cfg)
         others = ms[:i] + ms[i + 1 :]
         for a, broadcast, receive in letters:
-            for emitted in successors(spec, cfg, broadcast):
-                if _over_cap(emitted, cap):
+            for emitted in spec.successors(cfg, broadcast):
+                if emitted.size > cap:
                     continue
                 per_other = []
                 for o in others:
@@ -231,12 +226,12 @@ def _rewirable_steps(spec, ms, letters, allowed, cap):
                     if a in allowed:
                         opts.extend(
                             (True, s)
-                            for s in successors(spec, o, receive)
-                            if not _over_cap(s, cap)
+                            for s in spec.successors(o, receive)
+                            if s.size <= cap
                         )
                     per_other.append(opts)
                 for choice in itertools.product(*per_other):
-                    succ = tuple(sorted([emitted] + [c for _, c in choice], key=config_key))
+                    succ = tuple(sorted([emitted] + [c for _, c in choice], key=_sort_key))
                     out.append((succ, (i, a, emitted, choice)))
     return out
 
@@ -257,7 +252,7 @@ def _rewirable_run(spec, final_ms, parents) -> Run:
     ]
     for prev_ms, (bi, letter, emitted, choice) in chain:
         # align node identities with the sorted multiset the step was computed on
-        order = sorted(range(len(node_cfgs)), key=lambda j: config_key(node_cfgs[j]))
+        order = sorted(range(len(node_cfgs)), key=lambda j: node_cfgs[j].sort_key)
         bnode = order[bi]
         others = order[:bi] + order[bi + 1 :]
         receivers = [node for node, (took, _) in zip(others, choice) if took]
@@ -283,9 +278,9 @@ def _rewirable_run(spec, final_ms, parents) -> Run:
 
 
 def _explore_static(spec, cls, n, depth, target, cap, max_states):
-    tle = leq(spec)
+    tle = spec.leq
     letters = list(spec.alphabet)
-    inits = sorted(set(initial_configs(spec)), key=config_key)
+    inits = sorted(set(spec.initial_configs()), key=_sort_key)
     shapes = [g for g in enumerate_graphs(n) if in_class(g, cls)]
 
     for shape in shapes:
@@ -294,7 +289,7 @@ def _explore_static(spec, cls, n, depth, target, cap, max_states):
         def canon(labels: tuple) -> tuple:
             return min(
                 (tuple(labels[perm[i]] for i in range(len(labels))) for perm in autos),
-                key=lambda t: tuple(config_key(c) for c in t),
+                key=lambda t: tuple(c.sort_key for c in t),
             )
 
         def covers(labels: tuple) -> bool:
@@ -319,7 +314,7 @@ def _explore_static(spec, cls, n, depth, target, cap, max_states):
                 for v in range(n):
                     for a in letters:
                         for succ in bn_step(spec, theta, v, a):
-                            if any(_over_cap(c, cap) for c in succ.labels):
+                            if any(c.size > cap for c in succ.labels):
                                 continue
                             key = canon(succ.labels)
                             if key in parents:

@@ -52,7 +52,10 @@ class OrderedSpace(Protocol):
     and ``pre_basis_for_label(label, basis)`` must return a finite basis of
     the one-step ``label``-predecessors of the upward closure of ``basis``.
     ``min_enabling(label)`` is a basis of the configurations at which some
-    ``label`` transition fires.
+    ``label`` transition fires.  A counter process spec
+    (:class:`~bncover.vass.VassSpec`) is such a space itself, as is the
+    graph space of a fixed-topology class
+    (:class:`~bncover.static_cover.GraphSpace`).
     """
 
     @property

@@ -11,10 +11,9 @@ state, the stack words able to reach the target set.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .order import Verdict, minimize
 from .vass import Label, TransitionIndex
@@ -39,6 +38,16 @@ class PdsConfig:
         core = self.stack[:-1] if self.stack.endswith(BOTTOM) else self.stack
         if BOTTOM in core:
             raise ValueError(f"bottom marker may only terminate the stack: {self.stack!r}")
+
+    @property
+    def sort_key(self) -> tuple:
+        """Deterministic sort key: state, then stack."""
+        return (self.state, self.stack)
+
+    @property
+    def size(self) -> int:
+        """Stack depth, the bottom marker not counted."""
+        return len(self.stack) - 1
 
     def __str__(self) -> str:
         return f"{self.state}[{self.stack}]"
@@ -73,6 +82,9 @@ class PdsRule:
 
 @dataclass(frozen=True)
 class PushdownSpec:
+    """Pushdown process specification.  Its protocol methods lack
+    ``pre_basis_for_label``: the prefix order rules out saturation."""
+
     states: tuple[str, ...]
     stack_alphabet: tuple[str, ...]
     initial: tuple[str, ...]
@@ -126,35 +138,50 @@ class PushdownSpec:
             ):
                 yield r
 
+    # -- the process protocol (see ``order.OrderedSpace``) ------------------
 
-def pds_initial_configs(spec: PushdownSpec) -> tuple[PdsConfig, ...]:
-    return tuple(PdsConfig(q, BOTTOM) for q in spec.initial)
+    leq = staticmethod(pds_leq)
 
+    def initial_configs(self) -> tuple[PdsConfig, ...]:
+        return tuple(PdsConfig(q, BOTTOM) for q in self.initial)
 
-def pds_covered_by_initial(spec: PushdownSpec, config: PdsConfig) -> bool:
-    return any(config.state == q and BOTTOM.startswith(config.stack) for q in spec.initial)
+    def covered_by_initial(self, config: PdsConfig) -> bool:
+        return any(config.state == q and BOTTOM.startswith(config.stack) for q in self.initial)
 
+    def successors(self, config: PdsConfig, label: Label) -> tuple[PdsConfig, ...]:
+        """All one-step successors of ``config`` under ``label``, rule order."""
+        out = []
+        for r in self.index.by_source_label.get((config.state, label), ()):
+            if r.top == "":
+                out.append(PdsConfig(r.target, r.push + config.stack))
+            elif config.stack.startswith(r.top):
+                out.append(PdsConfig(r.target, r.push + config.stack[1:]))
+        return tuple(out)
 
-def pds_successors(spec: PushdownSpec, config: PdsConfig, label: Label) -> tuple[PdsConfig, ...]:
-    """All one-step successors of ``config`` under ``label``, rule order."""
-    out = []
-    for r in spec.index.by_source_label.get((config.state, label), ()):
-        if r.top == "":
-            out.append(PdsConfig(r.target, r.push + config.stack))
-        elif config.stack.startswith(r.top):
-            out.append(PdsConfig(r.target, r.push + config.stack[1:]))
-    return tuple(out)
+    def min_enabling(self, label: Label) -> tuple[PdsConfig, ...]:
+        """Minimal stack patterns from which a ``label`` rule can fire.
 
+        A rule inspecting top symbol ``g`` contributes ``(source, g)``; a rule
+        firing on any stack contributes the empty-prefix pattern, which every
+        same-state configuration covers.
+        """
+        pats = [PdsConfig(r.source, r.top) for r in self.index.by_label.get(label, ())]
+        return minimize(pats, pds_leq)
 
-def pds_min_enabling(spec: PushdownSpec, label: Label) -> tuple[PdsConfig, ...]:
-    """Minimal stack patterns from which a ``label`` rule can fire.
+    def has_receives(self, letter: str) -> bool:
+        """Whether the model declares any receive rule for ``letter``."""
+        return any(not r.label.is_broadcast and r.label.letter == letter for r in self.rules)
 
-    A rule inspecting top symbol ``g`` contributes ``(source, g)``; a rule
-    firing on any stack contributes the empty-prefix pattern, which every
-    same-state configuration covers.
-    """
-    pats = [PdsConfig(r.source, r.top) for r in spec.index.by_label.get(label, ())]
-    return minimize(pats, pds_leq)
+    def receive_total(self) -> bool:
+        """Whether every state has, for every letter, an active receive that
+        reads no stack top, so it is enabled in every configuration of that
+        state.  Receives that ``strip_receives`` switched off do not count."""
+        have = {
+            (r.source, r.label.letter)
+            for r in self.active_rules()
+            if not r.label.is_broadcast and r.top == ""
+        }
+        return all((s, x) in have for s in self.states for x in self.alphabet)
 
 
 def pds_coverable(spec: PushdownSpec, target: PdsConfig) -> Verdict:

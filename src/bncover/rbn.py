@@ -27,17 +27,8 @@ from typing import Optional
 from .explore import Run, RunStep, explore, replay
 from .graphs import LabelledGraph, Reconfigurable
 from .order import ResourceLimits, Verdict
-from .process import (
-    add_receives,
-    broadcast_enabling_basis,
-    coverable,
-    has_receives,
-    initial_configs,
-    leq,
-    strip_receives,
-    successors,
-)
-from .vass import Label
+from .process import coverable
+from .vass import Label, add_receives, strip_receives
 
 # composed witness runs stop here: helpers can multiply at every unlocking level
 WITNESS_NODE_CAP = 64
@@ -101,7 +92,7 @@ def rbn_unlock(spec, limits: Optional[ResourceLimits] = None) -> tuple[Saturatio
     ``(spec, limits)`` and later rbn queries on an equal process reuse
     them.  A run that exhausts ``limits`` raises and leaves no entry.
     """
-    enabling = {a: broadcast_enabling_basis(spec, a) for a in spec.alphabet}
+    enabling = {a: spec.min_enabling(Label.broadcast(a)) for a in spec.alphabet}
     current = strip_receives(spec)
     remaining = list(spec.alphabet)
     sweeps: list[SweepRecord] = []
@@ -124,7 +115,7 @@ def rbn_unlock(spec, limits: Optional[ResourceLimits] = None) -> tuple[Saturatio
         unlocked_all.extend(unlocked)
         added_transitions = False
         for letter in unlocked:
-            if has_receives(spec, letter):
+            if spec.has_receives(letter):
                 added_transitions = True
             current = add_receives(current, letter)
         if not added_transitions:
@@ -184,7 +175,7 @@ def _checked(spec, target, run: Run) -> Run:
     check = replay(spec, run)
     if not check:
         raise AssertionError(f"witness run is invalid: {check.reason}")
-    tle = leq(spec)
+    tle = spec.leq
     if not any(tle(target, c) for c in run[-1].graph.labels):
         raise AssertionError("witness run does not cover the target")
     return run
@@ -197,8 +188,8 @@ def _compose(spec, chain: tuple, chains: dict) -> Run:
     Nodes are only counted while composing: every node starts at an
     initial configuration, so the steps are built once the count is known.
     """
-    tle = leq(spec)
-    inits = initial_configs(spec)
+    tle = spec.leq
+    inits = spec.initial_configs()
     starts: list = []  # initial configuration of each node
     # (broadcaster, letter, its new configuration, receiver or None, receiver's new one)
     events: list = []
@@ -221,12 +212,12 @@ def _compose(spec, chain: tuple, chains: dict) -> Run:
         starts.append(current)
         for (_, label), (floor, _) in zip(walk, walk[1:]):
             if label.is_broadcast:
-                current = above(successors(spec, current, label), floor)
+                current = above(spec.successors(current, label), floor)
                 events.append((node, label.letter, current, None, None))
                 continue
             helper, ready = follow(chains[label.letter])
-            emitted = above(successors(spec, ready, Label.broadcast(label.letter)), None)
-            current = above(successors(spec, current, label), floor)
+            emitted = above(spec.successors(ready, Label.broadcast(label.letter)), None)
+            current = above(spec.successors(current, label), floor)
             events.append((helper, label.letter, emitted, node, current))
         return node, current
 

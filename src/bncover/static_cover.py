@@ -16,10 +16,12 @@ and vertices of each control state as the smaller graph has, so
 :meth:`GraphSpace.leq` compares those counts before it searches, which
 settles most of its (mostly failing) tests.
 
-Positive verdicts at the graph level are sound when every configuration of
-the process can receive every letter (for example after receive
-completion); without that, a dominating graph may be unable to mimic a
-step of a smaller one because an extra neighbor blocks the broadcast.
+Positive verdicts at the graph level are sound when ``spec.receive_total()``
+holds: every state has, for every letter, a receive enabled in every
+configuration of that state.  Without that, a dominating graph may be
+unable to mimic a step of a smaller one because an extra neighbor blocks
+the broadcast.  Receive completion does not establish it when a declared
+receive decrements a counter; the deciders do not check it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .graphs import (
     single_vertex,
 )
 from .order import ResourceExhausted, ResourceLimits, Verdict, backward_coverability, minimize
-from .process import covered_by_initial, initial_configs, leq, space
 from .pushdown import PushdownSpec
 from .vass import Label
 
@@ -92,8 +93,7 @@ class GraphSpace:
             )
         self.spec = spec
         self.cls = cls
-        self._space = space(spec)
-        self._config_leq = leq(spec)
+        self._config_leq = spec.leq
         self._pre_cache: dict = {}
         self._ext_cache: dict = {}
 
@@ -113,7 +113,7 @@ class GraphSpace:
 
     def covered_by_initial(self, theta: LabelledGraph) -> bool:
         return all(
-            l is WILDCARD or covered_by_initial(self.spec, l) for l in theta.labels
+            l is WILDCARD or self.spec.covered_by_initial(l) for l in theta.labels
         )
 
     def successors(self, theta: LabelledGraph, letter: str) -> tuple[LabelledGraph, ...]:
@@ -124,7 +124,7 @@ class GraphSpace:
 
     def min_enabling(self, letter: str) -> tuple[LabelledGraph, ...]:
         return tuple(
-            single_vertex(c) for c in self._space.min_enabling(Label.broadcast(letter))
+            single_vertex(c) for c in self.spec.min_enabling(Label.broadcast(letter))
         )
 
     def pre_basis_for_label(self, letter: str, thetas: Sequence[LabelledGraph]):
@@ -144,9 +144,9 @@ class GraphSpace:
         key = (label_value, label)
         if key not in self._pre_cache:
             if label_value is WILDCARD:
-                basis = tuple(self._space.min_enabling(label))
+                basis = tuple(self.spec.min_enabling(label))
             else:
-                basis = tuple(self._space.pre_basis_for_label(label, (label_value,)))
+                basis = tuple(self.spec.pre_basis_for_label(label, (label_value,)))
             self._pre_cache[key] = basis
         return self._pre_cache[key]
 
@@ -323,8 +323,8 @@ def static_witness_run(spec, verdict: Verdict, cls: TopologyClass) -> tuple[RunS
         raise ValueError("a witness run needs a positive verdict with a chain")
     gspace = GraphSpace(spec, cls)
     start = verdict.chain[0][0]
-    inits = initial_configs(spec)
-    config_leq = leq(spec)
+    inits = spec.initial_configs()
+    config_leq = spec.leq
     labels = []
     for l in start.labels:
         if l is WILDCARD:

@@ -63,6 +63,16 @@ class VassConfig:
         if any(c < 0 for c in self.counters):
             raise ValueError(f"counters must stay nonnegative: {self.counters}")
 
+    @property
+    def sort_key(self) -> tuple:
+        """Deterministic sort key: state, then counters."""
+        return (self.state, self.counters)
+
+    @property
+    def size(self) -> int:
+        """Largest counter value (0 for a finite-state configuration)."""
+        return max(self.counters, default=0)
+
     def __str__(self) -> str:
         if not self.counters:
             return self.state
@@ -117,7 +127,8 @@ class TransitionIndex:
 
 @dataclass(frozen=True)
 class VassSpec:
-    """Counter process specification.
+    """Counter process specification; its protocol methods make it an
+    :class:`~bncover.order.OrderedSpace` that saturation runs over directly.
 
     ``initial`` pairs each initial control state with its starting counter
     vector.  ``active_receives`` narrows which receive letters are enabled:
@@ -177,6 +188,55 @@ class VassSpec:
             ):
                 yield t
 
+    # -- the process protocol (see ``order.OrderedSpace``) ------------------
+
+    leq = staticmethod(vass_leq)
+
+    def initial_configs(self) -> tuple[VassConfig, ...]:
+        return tuple(VassConfig(s, v) for s, v in self.initial)
+
+    def covered_by_initial(self, config: VassConfig) -> bool:
+        return any(
+            state == config.state and all(a <= b for a, b in zip(config.counters, vector))
+            for state, vector in self.initial
+        )
+
+    # these two call the module functions by name, so that wrapping the
+    # functions (as bench/tracing.py does) also sees the method calls
+    def successors(self, config: VassConfig, label: Label) -> tuple[VassConfig, ...]:
+        return vass_successors(self, config, label)
+
+    def pre_basis_for_label(self, label: Label, basis: Sequence[VassConfig]) -> tuple[VassConfig, ...]:
+        return vass_pre_basis(self, label, basis)
+
+    def min_enabling(self, label: Label) -> tuple[VassConfig, ...]:
+        """Minimal configurations at which some ``label`` transition fires.
+
+        Each transition contributes its source state with counters
+        ``max(0, -delta)``; the union is minimized.
+        """
+        out = [
+            VassConfig(t.source, tuple(max(0, -v) for v in t.delta))
+            for t in self.index.by_label.get(label, ())
+        ]
+        return minimize(out, vass_leq)
+
+    def has_receives(self, letter: str) -> bool:
+        """Whether the model declares any receive transition for ``letter``."""
+        return any(not t.label.is_broadcast and t.label.letter == letter for t in self.transitions)
+
+    def receive_total(self) -> bool:
+        """Whether every state has, for every letter, an active receive whose
+        update never decrements, so it is enabled in every configuration of
+        that state.  Receives that ``strip_receives`` switched off do not
+        count."""
+        have = {
+            (t.source, t.label.letter)
+            for t in self.active_transitions()
+            if not t.label.is_broadcast and all(x >= 0 for x in t.delta)
+        }
+        return all((s, x) in have for s in self.states for x in self.alphabet)
+
 
 def finite_spec(states, initial_states, transitions) -> VassSpec:
     """Finite-state process as a dimension-zero counter model.
@@ -218,19 +278,6 @@ def vass_pre_basis(spec: VassSpec, label: Label, basis: Sequence[VassConfig]) ->
     return minimize(out, vass_leq)
 
 
-def vass_min_enabling(spec: VassSpec, label: Label) -> tuple[VassConfig, ...]:
-    """Minimal configurations at which some ``label`` transition fires.
-
-    Each transition contributes its source state with counters
-    ``max(0, -delta)``; the union is minimized.
-    """
-    out = [
-        VassConfig(t.source, tuple(max(0, -v) for v in t.delta))
-        for t in spec.index.by_label.get(label, ())
-    ]
-    return minimize(out, vass_leq)
-
-
 def strip_receives(spec):
     """Copy of the model with every receive transition disabled."""
     return dataclasses.replace(spec, active_receives=frozenset())
@@ -265,40 +312,3 @@ def complete_receives(spec: VassSpec, dead_state: str) -> VassSpec:
         if (s, x) not in have
     )
     return dataclasses.replace(spec, states=states, transitions=spec.transitions + extra)
-
-
-def vass_initial_configs(spec: VassSpec) -> tuple[VassConfig, ...]:
-    return tuple(VassConfig(s, v) for s, v in spec.initial)
-
-
-def vass_covered_by_initial(spec: VassSpec, config: VassConfig) -> bool:
-    return any(
-        state == config.state and all(a <= b for a, b in zip(config.counters, vector))
-        for state, vector in spec.initial
-    )
-
-
-class VassSpace:
-    """Ordered-space view of a counter model, pluggable into saturation."""
-
-    def __init__(self, spec: VassSpec):
-        self.spec = spec
-
-    @property
-    def labels(self) -> tuple[Label, ...]:
-        return self.spec.labels
-
-    def leq(self, c1, c2) -> bool:
-        return vass_leq(c1, c2)
-
-    def covered_by_initial(self, config) -> bool:
-        return vass_covered_by_initial(self.spec, config)
-
-    def pre_basis_for_label(self, label, basis):
-        return vass_pre_basis(self.spec, label, basis)
-
-    def successors(self, config, label):
-        return vass_successors(self.spec, config, label)
-
-    def min_enabling(self, label):
-        return vass_min_enabling(self.spec, label)

@@ -9,7 +9,6 @@ import itertools
 from collections import deque
 
 from bncover import Label, VassConfig, vass_leq
-from bncover.process import initial_configs, leq, successors
 
 
 def scan_minimal(configs, order) -> set:
@@ -32,9 +31,9 @@ def forward_cover(spec, target, counter_cap=8, depth_cap=12):
     space was exhausted without hitting the counter or depth cap, so a
     negative answer is definitive.
     """
-    tle = leq(spec)
+    tle = spec.leq
     labels = spec.labels
-    seen = set(initial_configs(spec))
+    seen = set(spec.initial_configs())
     frontier = deque((c, 0) for c in seen)
     complete = True
     covered = any(tle(target, c) for c in seen)
@@ -44,7 +43,7 @@ def forward_cover(spec, target, counter_cap=8, depth_cap=12):
             complete = False
             continue
         for label in labels:
-            for succ in successors(spec, config, label):
+            for succ in spec.successors(config, label):
                 if isinstance(succ, VassConfig) and any(x > counter_cap for x in succ.counters):
                     complete = False
                     continue

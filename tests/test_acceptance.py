@@ -15,7 +15,6 @@ from bncover import (
     Reconfigurable,
     ResourceLimits,
     VassConfig,
-    VassSpace,
     backward_coverability,
     basis_subsumes,
     bn_step,
@@ -37,7 +36,6 @@ from bncover import (
     static_pre_basis,
     vass_leq,
 )
-from bncover.process import broadcast_enabling_basis
 from bncover.static_cover import GraphSpace
 
 from conftest import MODELS, cfg, random_finite, random_pushdown, random_vass
@@ -63,7 +61,7 @@ def relay_traces(relay):
 def _check_trace_bounds(spec, trace):
     sigma = len(spec.alphabet)
     total_enabling = sum(
-        len(broadcast_enabling_basis(spec, a)) for a in spec.alphabet
+        len(spec.min_enabling(Label.broadcast(a))) for a in spec.alphabet
     )
     assert len(trace.rounds) <= sigma + 1, "sweep bound exceeded"
     assert trace.total_queries <= max(total_enabling, 1) ** 2, "query bound exceeded"
@@ -113,7 +111,7 @@ def test_criterion_3_rewiring_equals_plain_on_broadcast_only(relay_traces):
         target = VassConfig(
             rng.choice(spec.states), tuple(rng.choice((0, 1)) for _ in range(spec.dim))
         )
-        plain = backward_coverability(VassSpace(spec), target)
+        plain = backward_coverability(spec, target)
         result = rbn_coverable(spec, target)
         assert result.coverable == plain.coverable, (i, spec, target)
         relay_traces.append((spec, result.trace))
@@ -327,7 +325,7 @@ def test_criterion_10_saturation_invariants(relay, lone_receiver):
         target = VassConfig(
             rng.choice(spec.states), tuple(rng.choice((0, 1)) for _ in range(spec.dim))
         )
-        v = backward_coverability(VassSpace(spec), target, observer=observer)
+        v = backward_coverability(spec, target, observer=observer)
         finals.append((v.basis, vass_leq))
     for state in ("q1", "q4", "q5"):
         space = GraphSpace(relay, PathBounded(2))

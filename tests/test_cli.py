@@ -146,6 +146,34 @@ def test_cli_explore_replay_round_trip(tmp_path, capsys):
     assert main(["replay", str(MODELS / "relay.bn"), "--witness", str(witness)]) == 1
 
 
+def test_cli_explore_goes_on_after_an_exhausted_query(tmp_path, capsys, monkeypatch):
+    model = tmp_path / "relay3.bn"
+    model.write_text(
+        (MODELS / "relay.bn").read_text() + "query cover state=q4 vector=(0) semantics=rbn\n"
+    )
+    relay = parse_model(model.read_text())
+    query = relay.queries[0]
+    first = cli.explore(relay.process, cli._topology(query), 3, 9, query.target(relay.process))
+    answers = [first, ResourceExhausted("state budget hit: 9 states on 3 nodes"), None]
+
+    def scripted(*args, **kwargs):
+        answer = answers.pop(0)
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    monkeypatch.setattr(cli, "explore", scripted)
+    witness = tmp_path / "run.json"
+    code = main(["explore", str(model), "--nodes", "3", "--depth", "9", "--witness", str(witness)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert answers == []  # the query after the exhausted one ran too
+    assert "query 0: covering run found" in out
+    assert "query 1: exploration exhausted" in out
+    assert "query 2: no covering run" in out
+    assert run_from_json(json.loads(witness.read_text())) == first
+
+
 def test_cli_missing_file():
     assert main(["verify", "/nonexistent/never.bn"]) == 1
 

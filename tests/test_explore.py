@@ -17,7 +17,6 @@ from bncover import (
     vass_leq,
 )
 from bncover.explore import RunStep
-from bncover.process import successors
 
 from conftest import cfg, random_finite
 
@@ -60,11 +59,11 @@ def test_step_count_is_the_product_of_successor_counts():
         v = rng.randrange(n)
         letter = rng.choice(spec.alphabet)
         out = bn_step(spec, g, v, letter)
-        emit = len(successors(spec, g.labels[v], Label.broadcast(letter)))
+        emit = len(spec.successors(g.labels[v], Label.broadcast(letter)))
         product = emit
         blocked = emit == 0
         for u in g.neighbors(v):
-            r = len(successors(spec, g.labels[u], Label.receive(letter)))
+            r = len(spec.successors(g.labels[u], Label.receive(letter)))
             product *= r
             blocked = blocked or r == 0
         assert len(out) == (0 if blocked else product)

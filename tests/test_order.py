@@ -8,7 +8,6 @@ from bncover import (
     ResourceExhausted,
     ResourceLimits,
     VassConfig,
-    VassSpace,
     backward_coverability,
     basis_subsumes,
     minimize,
@@ -85,15 +84,15 @@ def test_subsumes_matches_elementwise_membership():
 
 
 def test_relay_plain_coverability_q1(relay):
-    verdict = backward_coverability(VassSpace(relay), cfg("q1", 0))
+    verdict = backward_coverability(relay, cfg("q1", 0))
     assert verdict.coverable
     assert verdict.witness_labels == (Label.broadcast("a"),)
 
 
 def test_initial_target_covered_in_zero_iterations(relay):
-    verdict = backward_coverability(VassSpace(relay), cfg("q0", 1))
+    verdict = backward_coverability(relay, cfg("q0", 1))
     assert verdict.coverable and verdict.iterations == 0
-    verdict = backward_coverability(VassSpace(relay), cfg("q0", 0))
+    verdict = backward_coverability(relay, cfg("q0", 0))
     assert verdict.coverable and verdict.iterations == 0
 
 
@@ -107,7 +106,7 @@ def test_backward_matches_bounded_forward_search():
             tuple(rng.choice((0, 1)) for _ in range(spec.dim)),
         )
         covered, complete = forward_cover(spec, target, counter_cap=8, depth_cap=12)
-        verdict = backward_coverability(VassSpace(spec), target)
+        verdict = backward_coverability(spec, target)
         if covered:
             assert verdict.coverable, (spec, target)
             checked += 1
@@ -120,16 +119,16 @@ def test_backward_matches_bounded_forward_search():
 def test_resource_exhausted_is_not_a_verdict(relay):
     with pytest.raises(ResourceExhausted):
         backward_coverability(
-            VassSpace(relay), cfg("q4", 0), ResourceLimits(max_iters=0)
+            relay, cfg("q4", 0), ResourceLimits(max_iters=0)
         )
     with pytest.raises(ResourceExhausted):
         backward_coverability(
-            VassSpace(relay), cfg("q4", 0), ResourceLimits(max_basis=1)
+            relay, cfg("q4", 0), ResourceLimits(max_basis=1)
         )
 
 
 def test_chain_walks_back_to_target(relay):
-    verdict = backward_coverability(VassSpace(relay), cfg("q1", 0))
+    verdict = backward_coverability(relay, cfg("q1", 0))
     assert verdict.chain[-1][0] == cfg("q1", 0)
     assert verdict.chain[-1][1] is None
 
@@ -149,10 +148,10 @@ def test_per_label_restriction_equals_filtered_model():
             [VassConfig(rng.choice(spec.states), tuple(rng.choice((0, 1, 2)) for _ in range(spec.dim)))],
             vass_leq,
         )
-        restricted = VassSpace(spec).pre_basis_for_label(label, basis)
+        restricted = spec.pre_basis_for_label(label, basis)
         full_of_filtered = []
         for l in filtered.labels:
-            full_of_filtered.extend(VassSpace(filtered).pre_basis_for_label(l, basis))
+            full_of_filtered.extend(filtered.pre_basis_for_label(l, basis))
         assert set(restricted) == set(minimize(full_of_filtered, vass_leq))
 
 
@@ -161,28 +160,26 @@ def test_compatibility_probe():
     rng = random.Random(13)
     for _ in range(25):
         spec = random_vass(rng)
-        space = VassSpace(spec)
         for _ in range(10):
             state = rng.choice(spec.states)
             low = tuple(rng.randint(0, 2) for _ in range(spec.dim))
             high = tuple(x + rng.randint(0, 2) for x in low)
             c1, t1 = VassConfig(state, low), VassConfig(state, high)
             for label in spec.labels:
-                for c2 in space.successors(c1, label):
+                for c2 in spec.successors(c1, label):
                     assert any(
-                        vass_leq(c2, t2) for t2 in space.successors(t1, label)
+                        vass_leq(c2, t2) for t2 in spec.successors(t1, label)
                     ), (c1, t1, label, c2)
 
 
 def test_saturation_growth_is_monotone(relay):
     # iterate the engine's own rounds by hand and check subsumption both ways
-    space = VassSpace(relay)
     basis = minimize([cfg("q4", 0)], vass_leq)
     for _ in range(6):
         step = list(basis)
-        for label in space.labels:
+        for label in relay.labels:
             for c in basis:
-                step.extend(space.pre_basis_for_label(label, (c,)))
+                step.extend(relay.pre_basis_for_label(label, (c,)))
         grown = minimize(step, vass_leq)
         assert basis_subsumes(grown, basis, vass_leq)
         if basis_subsumes(basis, grown, vass_leq):
@@ -190,11 +187,13 @@ def test_saturation_growth_is_monotone(relay):
         basis = grown
 
 
-class _CountingSpace(VassSpace):
+class _CountingSpace:
     """A counter space that logs every order comparison the engine makes."""
 
     def __init__(self, spec):
-        super().__init__(spec)
+        self.labels = spec.labels
+        self.covered_by_initial = spec.covered_by_initial
+        self.pre_basis_for_label = spec.pre_basis_for_label
         self.compared: list[tuple] = []
 
     def leq(self, c1, c2) -> bool:
@@ -218,7 +217,7 @@ def test_saturation_never_compares_two_old_elements():
 
         target = VassConfig(rng.choice(spec.states), tuple(rng.randint(0, 2) for _ in range(spec.dim)))
         verdict = backward_coverability(space, target, observer=observer)
-        assert verdict == backward_coverability(VassSpace(spec), target)
+        assert verdict == backward_coverability(spec, target)
     assert rounds_with_old_pairs >= 10
 
 

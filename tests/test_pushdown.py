@@ -13,8 +13,6 @@ from bncover import (
     minimize,
     pds_coverable,
     pds_leq,
-    pds_min_enabling,
-    pds_successors,
     parse_model,
     strip_receives,
 )
@@ -42,17 +40,17 @@ def push_pop():
 
 def test_unconditional_push_successor():
     spec = push_only()
-    assert pds_successors(spec, PdsConfig("q", BOTTOM), Label.broadcast("a")) == (
+    assert spec.successors(PdsConfig("q", BOTTOM), Label.broadcast("a")) == (
         PdsConfig("q", "A" + BOTTOM),
     )
 
 
 def test_pop_requires_matching_top():
     spec = push_pop()
-    assert pds_successors(spec, PdsConfig("q", "A" + BOTTOM), Label.broadcast("b")) == (
+    assert spec.successors(PdsConfig("q", "A" + BOTTOM), Label.broadcast("b")) == (
         PdsConfig("p", BOTTOM),
     )
-    assert pds_successors(spec, PdsConfig("q", BOTTOM), Label.broadcast("b")) == ()
+    assert spec.successors(PdsConfig("q", BOTTOM), Label.broadcast("b")) == ()
 
 
 def _active_scan(spec):
@@ -81,10 +79,10 @@ def test_successors_match_rule_scan():
                     expected.append(PdsConfig(r.target, r.push + config.stack))
                 elif config.stack.startswith(r.top):
                     expected.append(PdsConfig(r.target, r.push + config.stack[1:]))
-            assert list(pds_successors(spec, config, label)) == expected
+            assert list(spec.successors(config, label)) == expected
             assert spec.labels == tuple(dict.fromkeys(r.label for r in _active_scan(spec)))
             patterns = [PdsConfig(r.source, r.top) for r in _active_scan(spec) if r.label == label]
-            assert pds_min_enabling(spec, label) == minimize(patterns, pds_leq)
+            assert spec.min_enabling(label) == minimize(patterns, pds_leq)
 
 
 def test_index_is_per_instance_and_outside_identity():
@@ -175,8 +173,8 @@ def test_saturation_round_counts_are_pinned():
 
 def test_min_enabling_patterns():
     spec = push_pop()
-    assert pds_min_enabling(spec, Label.broadcast("b")) == (PdsConfig("q", "A"),)
-    assert pds_min_enabling(spec, Label.broadcast("z")) == ()
+    assert spec.min_enabling(Label.broadcast("b")) == (PdsConfig("q", "A"),)
+    assert spec.min_enabling(Label.broadcast("z")) == ()
     # an any-stack rule subsumes symbol-specific ones on the same state
     both = PushdownSpec(
         ("q",), ("A",), ("q",),
@@ -185,7 +183,7 @@ def test_min_enabling_patterns():
             PdsRule("q", Label.broadcast("a"), "", "q", "A"),
         ),
     )
-    assert pds_min_enabling(both, Label.broadcast("a")) == (PdsConfig("q", ""),)
+    assert both.min_enabling(Label.broadcast("a")) == (PdsConfig("q", ""),)
 
 
 def test_min_enabling_counts_rules():
@@ -195,7 +193,7 @@ def test_min_enabling_counts_rules():
         for letter in spec.alphabet:
             label = Label.broadcast(letter)
             rules = [r for r in spec.rules if r.label == label]
-            basis = pds_min_enabling(spec, label)
+            basis = spec.min_enabling(label)
             assert len(basis) <= len(rules)
             for r in rules:
                 assert any(pds_leq(b, PdsConfig(r.source, r.top)) for b in basis)
@@ -213,9 +211,9 @@ def test_prefix_order_compatibility():
         assert pds_leq(s, s_prime)
         for r in spec.rules:
             label = r.label
-            for c in pds_successors(spec, s, label):
+            for c in spec.successors(s, label):
                 assert any(
-                    pds_leq(c, c2) for c2 in pds_successors(spec, s_prime, label)
+                    pds_leq(c, c2) for c2 in spec.successors(s_prime, label)
                 ), (spec, s, s_prime, label, c)
 
 

@@ -9,7 +9,6 @@ from bncover import (
     ResourceExhausted,
     ResourceLimits,
     VassConfig,
-    VassSpace,
     WitnessExtractionFailed,
     backward_coverability,
     explore,
@@ -23,7 +22,6 @@ from bncover import (
 )
 from bncover import rbn
 from bncover.graphs import Reconfigurable
-from bncover.process import broadcast_enabling_basis, leq
 from bncover.rbn import WITNESS_NODE_CAP, rbn_unlock
 
 from conftest import MODELS, cfg, random_finite, random_pushdown, random_vass
@@ -32,7 +30,7 @@ from conftest import MODELS, cfg, random_finite, random_pushdown, random_vass
 def check_trace(spec, trace):
     sigma = len(spec.alphabet)
     enabling_total = sum(
-        len(broadcast_enabling_basis(spec, a)) for a in spec.alphabet
+        len(spec.min_enabling(Label.broadcast(a))) for a in spec.alphabet
     )
     assert len(trace.rounds) <= sigma + 1
     assert trace.total_queries <= max(enabling_total, 1) ** 2
@@ -71,7 +69,7 @@ def test_broadcast_only_equals_plain_coverability():
         target = VassConfig(
             rng.choice(spec.states), tuple(rng.choice((0, 1)) for _ in range(spec.dim))
         )
-        plain = backward_coverability(VassSpace(spec), target)
+        plain = backward_coverability(spec, target)
         result = rbn_coverable(spec, target)
         assert result.coverable == plain.coverable
         assert len(result.trace.rounds) == 1  # nothing to add, single sweep
@@ -134,7 +132,7 @@ def test_witnesses_replay_on_random_positives():
             continue
         outcome = replay(spec, run)
         assert outcome, (spec, target, outcome.reason)
-        tle = leq(spec)
+        tle = spec.leq
         assert any(tle(target, l) for l in run[-1].graph.labels)
         extracted += 1
     assert extracted >= 10
@@ -334,7 +332,7 @@ def assert_witnesses(model, report) -> int:
     """Every positive row carries a run that replays and covers its target;
     returns how many positives there were."""
     positives = 0
-    tle = leq(model.process)
+    tle = model.process.leq
     for query, row in zip(model.queries, report.results):
         if row.verdict != "coverable":
             continue

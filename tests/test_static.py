@@ -12,7 +12,6 @@ from bncover import (
     PathBounded,
     PushdownSpec,
     VassConfig,
-    VassSpace,
     backward_coverability,
     bn_step,
     complete_receives,
@@ -155,7 +154,7 @@ def test_broadcast_only_static_equals_plain_coverability():
         target = VassConfig(
             rng.choice(spec.states), tuple(rng.choice((0, 1)) for _ in range(spec.dim))
         )
-        plain = backward_coverability(VassSpace(spec), target)
+        plain = backward_coverability(spec, target)
         for cls in (PathBounded(2), Clique()):
             static = static_coverable(spec, target, cls)
             assert static.coverable == plain.coverable, (spec, target, cls)
@@ -230,7 +229,7 @@ def test_diam_deg_single_shape_broadcast_only_equals_plain():
         target = VassConfig(
             rng.choice(spec.states), tuple(rng.choice((0, 1)) for _ in range(spec.dim))
         )
-        plain = backward_coverability(VassSpace(spec), target)
+        plain = backward_coverability(spec, target)
         fixed = diam_deg_coverable(spec, target, 1, 1, 1)
         assert fixed.coverable == plain.coverable
 
@@ -317,7 +316,6 @@ def _reference_pre_graphs(spec, cls, theta, letter):
 
     from bncover import Graph, enumerate_extensions, graph_injections
 
-    space = VassSpace(spec)
     bl, rl = Label.broadcast(letter), Label.receive(letter)
 
     def label_leq(a, b):
@@ -325,8 +323,8 @@ def _reference_pre_graphs(spec, cls, theta, letter):
 
     def vertex_pre(label_value, label):
         if label_value is WILDCARD:
-            return space.min_enabling(label)
-        return space.pre_basis_for_label(label, (label_value,))
+            return spec.min_enabling(label)
+        return spec.pre_basis_for_label(label, (label_value,))
 
     def reaches(before, v):
         return any(
@@ -348,7 +346,7 @@ def _reference_pre_graphs(spec, cls, theta, letter):
             fresh = next(w for w in range(ext.n) if w not in inj)
             back = {w: i for i, w in enumerate(inj)}
             nbrs = ext.neighbors(fresh)
-            for cv in space.min_enabling(bl):
+            for cv in spec.min_enabling(bl):
                 receivers = (vertex_pre(theta.labels[back[u]], rl) for u in nbrs)
                 for combo in itertools.product(*receivers):
                     labels = [cv if w == fresh else theta.labels[back[w]] for w in range(ext.n)]
@@ -412,7 +410,6 @@ def test_counting_prefilter_spares_embedding_searches(relay, monkeypatch):
 
 def test_saturation_is_the_same_with_candidates_minimized_first(relay, monkeypatch):
     from bncover import static_cover
-    from bncover.process import covered_by_initial
 
     dropped = []
 
@@ -436,7 +433,7 @@ def test_saturation_is_the_same_with_candidates_minimized_first(relay, monkeypat
             spec = random_receive_total(rng)
             for state in spec.states:
                 target = VassConfig(state, (0,) * spec.dim)
-                if covered_by_initial(spec, target):
+                if spec.covered_by_initial(target):
                     continue
                 out.append(static_coverable(spec, target, PathBounded(2)))
                 out.append(static_coverable(spec, target, Clique()))

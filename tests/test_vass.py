@@ -14,9 +14,7 @@ from bncover import (
     finite_spec,
     minimize,
     strip_receives,
-    vass_covered_by_initial,
     vass_leq,
-    vass_min_enabling,
     vass_pre_basis,
     vass_successors,
 )
@@ -85,7 +83,7 @@ def test_pre_basis_and_min_enabling_match_declaration_scan():
                 ]
                 assert vass_pre_basis(spec, label, basis) == minimize(expected, vass_leq)
                 enabling = [VassConfig(t.source, tuple(max(0, -v) for v in t.delta)) for t in scan]
-                assert vass_min_enabling(spec, label) == minimize(enabling, vass_leq)
+                assert spec.min_enabling(label) == minimize(enabling, vass_leq)
 
 
 def test_index_is_per_instance_and_outside_identity():
@@ -135,11 +133,11 @@ def test_pre_basis_matches_truncated_membership():
 
 
 def test_relay_min_enabling_broadcast_a(relay):
-    assert vass_min_enabling(relay, Label.broadcast("a")) == (cfg("q0", 1),)
+    assert relay.min_enabling(Label.broadcast("a")) == (cfg("q0", 1),)
 
 
 def test_min_enabling_letter_without_broadcasts(lone_receiver):
-    assert vass_min_enabling(lone_receiver, Label.broadcast("a")) == ()
+    assert lone_receiver.min_enabling(Label.broadcast("a")) == ()
 
 
 def test_min_enabling_is_tight():
@@ -150,7 +148,7 @@ def test_min_enabling_is_tight():
         spec = random_vass(rng)
         for letter in spec.alphabet:
             label = Label.broadcast(letter)
-            for c in vass_min_enabling(spec, label):
+            for c in spec.min_enabling(label):
                 assert vass_successors(spec, c, label)
                 for i, x in enumerate(c.counters):
                     if x == 0:
@@ -213,7 +211,6 @@ def test_completion_totalizes_receives(relay_raw):
 
 def test_receive_total_needs_receives_enabled_in_every_configuration():
     from bncover import PdsRule, PushdownSpec, parse_model
-    from bncover.process import receive_total
 
     from conftest import random_receive_total
 
@@ -229,17 +226,17 @@ trans s -> s on ??c delta=(-1)
 option complete-receives dead=d
 query cover state=t vector=(0) semantics=clique
 """).process
-    assert not receive_total(decrementing)
+    assert not decrementing.receive_total()
     rng = random.Random(59)
     total = [random_receive_total(rng) for _ in range(30)]
-    assert all(receive_total(spec) for spec in total)
+    assert all(spec.receive_total() for spec in total)
     # receives switched off by rbn unlocking do not count, until re-enabled
     for spec in total:
         stripped = strip_receives(spec)
         for letter in spec.alphabet:
-            assert receive_total(stripped) is False
+            assert stripped.receive_total() is False
             stripped = add_receives(stripped, letter)
-        assert receive_total(stripped)
+        assert stripped.receive_total()
 
     def pushdown(top):
         return PushdownSpec(("p",), ("A",), ("p",), (
@@ -247,10 +244,10 @@ query cover state=t vector=(0) semantics=clique
             PdsRule("p", Label.receive("m"), top, "p", ""),
         ))
 
-    assert receive_total(pushdown(""))
-    assert not receive_total(pushdown("A"))
-    assert not receive_total(strip_receives(pushdown("")))
-    assert receive_total(add_receives(strip_receives(pushdown("")), "m"))
+    assert pushdown("").receive_total()
+    assert not pushdown("A").receive_total()
+    assert not strip_receives(pushdown("")).receive_total()
+    assert add_receives(strip_receives(pushdown("")), "m").receive_total()
 
 
 def test_completion_preserves_explicit_receives(relay_raw):
@@ -259,10 +256,10 @@ def test_completion_preserves_explicit_receives(relay_raw):
 
 
 def test_covered_by_initial(relay):
-    assert vass_covered_by_initial(relay, cfg("q0", 1))
-    assert vass_covered_by_initial(relay, cfg("q0", 0))
-    assert not vass_covered_by_initial(relay, cfg("q0", 2))
-    assert not vass_covered_by_initial(relay, cfg("q1", 0))
+    assert relay.covered_by_initial(cfg("q0", 1))
+    assert relay.covered_by_initial(cfg("q0", 0))
+    assert not relay.covered_by_initial(cfg("q0", 2))
+    assert not relay.covered_by_initial(cfg("q1", 0))
 
 
 counters = st.tuples(st.integers(0, 5), st.integers(0, 5))
