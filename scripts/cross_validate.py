@@ -7,8 +7,11 @@ coverability on broadcast-only models, the rewiring decider against
 forward exploration on small node counts, pushdown saturation against
 bounded forward search, the fixed-topology deciders (path-bounded,
 clique, diam-deg) against forward exploration on 2-3 nodes and against
-replay of their own witness runs, and every rbn positive on counter
-models against replay of the witness composed from its unlocking chains.
+replay of their own witness runs, every rbn positive on counter
+models against replay of the witness composed from its unlocking chains,
+and rbn verdicts and traces on pushdown models, whose sweeps each run one
+batched saturation, against an unlocking loop that asks one query at a
+time.
 """
 
 import argparse
@@ -38,8 +41,9 @@ from bncover import (
     static_witness_run,
     vass_leq,
 )
+from bncover.rbn import rbn_unlock
 from conftest import random_finite, random_pushdown, random_receive_total, random_vass
-from oracles import forward_cover
+from oracles import forward_cover, unlock_one_query_at_a_time
 
 
 def sweep_backward_vs_forward(rng, rounds):
@@ -177,6 +181,28 @@ def sweep_rbn_vs_composed_witness(rng, rounds):
     return agreed, 0
 
 
+def sweep_rbn_pushdown_batched_vs_per_query(rng, rounds):
+    """On pushdown models, the unlocking trace and unlocked process equal
+    those of a loop issuing one ``pds_coverable`` call per query, and every
+    rbn verdict equals plain coverability in that unlocked process.
+    Counts one check per trace and one per target."""
+    checks = 0
+    for _ in range(rounds):
+        spec = random_pushdown(rng, max_states=6, max_rules=20, letters="mnopq")
+        rbn_unlock.cache_clear()
+        trace, unlocked = unlock_one_query_at_a_time(spec)
+        assert rbn_unlock(spec) == (trace, unlocked), spec
+        checks += 1
+        for state in spec.states:
+            stack = "".join(rng.choice(spec.stack_alphabet) for _ in range(rng.randint(0, 3)))
+            target = PdsConfig(state, stack)
+            result = rbn_coverable(spec, target)
+            assert result.verdict == pds_coverable(unlocked, target), (spec, target)
+            assert result.trace == trace
+            checks += 1
+    return checks, 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rounds", type=int, default=100)
@@ -191,6 +217,7 @@ def main():
         ("pushdown vs bounded-forward", sweep_pushdown_vs_forward),
         ("fixed-topology vs explore and replay", sweep_static_vs_explore),
         ("rbn positive vs composed witness", sweep_rbn_vs_composed_witness),
+        ("rbn pushdown batched vs per-query", sweep_rbn_pushdown_batched_vs_per_query),
     ]:
         agreed, skipped = sweep(rng, args.rounds)
         note = f", {skipped} skipped (bounds hit)" if skipped else ""

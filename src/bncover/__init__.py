@@ -58,6 +58,7 @@ from .pushdown import (
     PushdownSpec,
     pds_coverable,
     pds_leq,
+    pds_saturate,
 )
 from .rbn import (
     QueryRecord,

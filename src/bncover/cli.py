@@ -177,6 +177,9 @@ def _cmd_explore(args) -> int:
             print(f"query {i}: exploration exhausted ({exc})")
             status = 2
             continue
+        except ValueError as exc:  # bad bounds: every query would fail alike
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         if run is None:
             print(
                 f"query {i}: no covering run within {args.nodes} nodes, depth "

@@ -5,15 +5,16 @@ its own methods (``leq``, ``initial_configs``, ``covered_by_initial``,
 ``successors``, ``min_enabling``, ``has_receives`` and ``receive_total``;
 see :class:`~bncover.vass.VassSpec` and
 :class:`~bncover.pushdown.PushdownSpec`).  Only the coverability engine
-differs between them, and :func:`coverable` picks it.
+differs between them: :func:`coverable` picks it for one target, and
+:func:`coverable_each` for a batch of targets on one process.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from .order import ResourceLimits, Verdict, backward_coverability
-from .pushdown import PushdownSpec, pds_coverable
+from .pushdown import PushdownSpec, pds_coverable, pds_saturate
 
 
 def coverable(spec, target, limits: Optional[ResourceLimits] = None) -> Verdict:
@@ -23,3 +24,17 @@ def coverable(spec, target, limits: Optional[ResourceLimits] = None) -> Verdict:
     if isinstance(spec, PushdownSpec):
         return pds_coverable(spec, target)
     return backward_coverability(spec, target, limits)
+
+
+def coverable_each(
+    spec, targets, limits: Optional[ResourceLimits] = None
+) -> Callable[[object], Verdict]:
+    """A lookup that answers, for each of ``targets``, what :func:`coverable`
+    would.  Pushdown models answer all of them from one saturation, run
+    now.  Counter models run :func:`coverable` for a target only when it is
+    looked up: their saturations share no work, and a caller that stops
+    early skips the rest."""
+    if isinstance(spec, PushdownSpec):
+        targets = tuple(targets)
+        return dict(zip(targets, pds_saturate(spec, targets))).__getitem__
+    return lambda target: coverable(spec, target, limits)

@@ -6,7 +6,11 @@ and stack prefix, so a configuration also covers every configuration that
 extends its stack further down.  The prefix order is not a well-quasi
 ordering, which rules out the antichain engine; coverability is instead
 decided by saturating a finite automaton that recognizes, per control
-state, the stack words able to reach the target set.
+state, the stack words able to reach the target set (pre*).  Each
+automaton node is one bit of an integer, so following a rule's push word
+is integer OR work, and one saturation decides any number of targets
+(:func:`pds_saturate`): the rbn unlocking loop answers every query of a
+sweep from one call.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from .order import Verdict, minimize
 from .vass import Label, TransitionIndex
 
 BOTTOM = "_"
-_NONE: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -185,66 +188,116 @@ class PushdownSpec:
 
 
 def pds_coverable(spec: PushdownSpec, target: PdsConfig) -> Verdict:
-    """Decide whether a reachable configuration covers ``target``.
+    """Decide whether a reachable configuration covers ``target``: the
+    one-target call of :func:`pds_saturate`."""
+    return pds_saturate(spec, (target,))[0]
 
-    Builds a finite automaton accepting exactly the configurations that
-    dominate the target (state, then the target stack, then anything), and
-    saturates it: for every rule rewriting ``g`` into ``w`` and every
-    automaton state reachable from the rule target by reading ``w``, a
-    ``g``-transition from the rule source is added.  The saturated
-    automaton accepts every configuration able to reach the target set, so
-    the answer reads off acceptance of an initial configuration.  The
-    automaton never grows new states, so the run time is polynomial in the
+
+def pds_saturate(spec: PushdownSpec, targets) -> tuple[Verdict, ...]:
+    """Decide, for each of ``targets``, whether a reachable configuration
+    covers it: one pre* saturation serves them all.
+
+    The automaton starts out accepting, per target, exactly the
+    configurations that dominate it (its state, then its stack, then
+    anything), and is saturated in synchronous rounds, each reading the
+    previous round's automaton: for every rule rewriting ``g`` into ``w``
+    and every automaton node reachable from the rule target by reading
+    ``w``, a ``g``-transition from the rule source is added.  The saturated
+    automaton accepts every configuration able to reach a target, so each
+    answer reads off acceptance of an initial configuration.  The
+    automaton never grows new nodes, so the run time is polynomial in the
     specification and target sizes.
+
+    Each node is one bit of an integer: the control states first, then
+    every target's own stack nodes, the last of them (or a lone node, for
+    an empty stack) accepting.  Added transitions always leave a control
+    state, so they live in a dict ``(control index, symbol) -> mask``; a
+    target's own nodes step by shifting the bits whose next stack symbol
+    is the one read, and accepting bits stay put.  Within a round each
+    step, a node set and a symbol, is computed once.  Transitions into
+    control states do not depend on the targets and those into a target's
+    nodes depend on no other target, so each verdict and its round count
+    (the rounds until nothing reachable from that target's part changes)
+    are those of a saturation for that target alone.  A target whose state
+    is undeclared, or whose stack holds an undeclared symbol, is never
+    reached past that point.
     """
+    targets = tuple(targets)
+    if not targets:
+        return ()
     gamma = spec.stack_alphabet + (BOTTOM,)
-    rules: list[tuple[str, str, str, str]] = []
-    for r in spec.active_rules():
-        if r.top == "":
-            # fires regardless of stack contents: one concrete rule per top symbol
-            rules.extend((r.source, g, r.target, r.push + g) for g in gamma)
-        else:
-            rules.append((r.source, r.top, r.target, r.push))
+    ctrl = {q: i for i, q in enumerate(spec.states)}
+    ctrl_mask = (1 << len(ctrl)) - 1
+    trans: dict[tuple[int, str], int] = {}
+    chain: dict[str, int] = {}  # own nodes stepping, by their next stack symbol
+    accepting = 0
+    relevant = []  # per target: the bits whose changes it sees
+    accepts = []
+    bit = len(ctrl)
+    for t in targets:
+        first = 1 << bit
+        for i, sym in enumerate(t.stack[1:], bit):
+            chain[sym] = chain.get(sym, 0) | 1 << i
+        bit += max(len(t.stack), 1)
+        last = 1 << (bit - 1)
+        accepting |= last
+        accepts.append(last)
+        relevant.append(ctrl_mask | (1 << bit) - first)
+        source = ctrl.get(t.state)
+        if source is None:
+            continue
+        for g in t.stack[:1] or gamma:
+            trans[source, g] = trans.get((source, g), 0) | first
 
-    acc = ("stack", len(target.stack))
-    trans: set[tuple] = set()
-    prev: object = target.state
-    for i, sym in enumerate(target.stack):
-        node = ("stack", i + 1)
-        trans.add((prev, sym, node))
-        prev = node
-    if not target.stack:
-        for g in gamma:
-            trans.add((target.state, g, acc))
-    for g in gamma:
-        trans.add((acc, g, acc))
+    steps_taken: dict[tuple[int, str], int] = {}  # this round's, by (from, symbol)
 
-    # adj is extended by each round's additions only once that round ends,
-    # so every round reads the previous round's automaton
-    adj: dict[tuple, set] = {}
-    added = trans
-    rounds = 0
+    def read(cur: int, word: str) -> int:
+        for sym in word:
+            key = (cur, sym)
+            nxt = steps_taken.get(key)
+            if nxt is None:
+                nxt = (cur & chain.get(sym, 0)) << 1 | cur & accepting
+                c = cur & ctrl_mask
+                while c:
+                    low = c & -c
+                    nxt |= trans.get((low.bit_length() - 1, sym), 0)
+                    c ^= low
+                steps_taken[key] = nxt
+            cur = nxt
+            if not cur:
+                break
+        return cur
+
+    rules = [(ctrl[r.source], r.top, 1 << ctrl[r.target], r.push) for r in spec.active_rules()]
+    rounds = [0] * len(targets)
+    done = 0
     while True:
-        for s, g, d in added:
-            adj.setdefault((s, g), set()).add(d)
-        rounds += 1
-        added = set()
-        for source, top, tgt, word in rules:
-            cur: set = {tgt}
-            for sym in word:
-                nxt: set = set()
-                for s in cur:
-                    nxt |= adj.get((s, sym), _NONE)
-                cur = nxt
-                if not cur:
-                    break
-            for dest in cur:
-                t = (source, top, dest)
-                if t not in trans:
-                    added.add(t)
-        if not added:
+        done += 1
+        steps_taken.clear()  # the automaton grows between rounds only
+        added: dict[tuple[int, str], int] = {}
+        for source, top, start, word in rules:
+            cur = read(start, word)
+            if not cur:
+                continue
+            if top:
+                steps = ((top, cur),)
+            else:  # fires on any stack: reads on from every top symbol
+                steps = [(g, read(cur, g)) for g in gamma]
+            for g, dest in steps:
+                fresh = dest & ~trans.get((source, g), 0)
+                if fresh:
+                    added[source, g] = added.get((source, g), 0) | fresh
+        delta = 0
+        for key, fresh in added.items():
+            delta |= fresh
+            trans[key] = trans.get(key, 0) | fresh
+        for i, seen in enumerate(relevant):
+            if not rounds[i] and not delta & seen:
+                rounds[i] = done
+        if not delta:
             break
-        trans |= added
 
-    covered = any((q, BOTTOM, acc) in trans for q in spec.initial)
-    return Verdict(covered, rounds, (), None)
+    start = 0
+    for q in spec.initial:
+        start |= trans.get((ctrl[q], BOTTOM), 0)
+    return tuple(Verdict(bool(start & acc), n, (), None) for acc, n in zip(accepts, rounds))

@@ -7,9 +7,12 @@ this: starting from the process with every receive disabled, it sweeps the
 alphabet, unlocking the receives of each letter whose minimal broadcast
 enabling configurations become coverable, until a sweep unlocks nothing
 new; the final query runs against the accumulated process.  Each sweep's
-queries run against the process as it stood when the sweep began.  The
-loop never looks at the target, so it runs once per process
-(:func:`rbn_unlock`) and every query on that process reuses it.
+queries run against the process as it stood when the sweep began, so for
+pushdown processes one pre* saturation answers all of them
+(:func:`~bncover.process.coverable_each`); counter processes still run
+them one at a time.  The loop never looks at the target, so it runs once
+per process (:func:`rbn_unlock`) and every query on that process reuses
+it.
 
 The same argument builds witness runs (:func:`rbn_witness`): a node
 follows the final query's chain, and each receive ``??a`` on it is served
@@ -27,7 +30,7 @@ from typing import Optional
 from .explore import Run, RunStep, explore, replay
 from .graphs import LabelledGraph, Reconfigurable
 from .order import ResourceLimits, Verdict
-from .process import coverable
+from .process import coverable, coverable_each
 from .vass import Label, add_receives, strip_receives
 
 # composed witness runs stop here: helpers can multiply at every unlocking level
@@ -102,9 +105,12 @@ def rbn_unlock(spec, limits: Optional[ResourceLimits] = None) -> tuple[Saturatio
     while True:
         unlocked: list[str] = []
         queries: list[QueryRecord] = []
+        ask = coverable_each(
+            current, dict.fromkeys(c for a in remaining for c in enabling[a]), limits
+        )
         for letter in list(remaining):
             for config in enabling[letter]:
-                answer = coverable(current, config, limits)
+                answer = ask(config)
                 queries.append(QueryRecord(letter, config, answer.coverable))
                 if answer.coverable:
                     chains[letter] = answer.chain

@@ -109,7 +109,9 @@ def random_receive_total(rng: random.Random) -> VassSpec:
     return complete_receives(dataclasses.replace(spec, transitions=transitions), "sink")
 
 
-def random_pushdown(rng: random.Random, max_states=3, max_rules=5, max_syms=3) -> PushdownSpec:
+def random_pushdown(
+    rng: random.Random, max_states=3, max_rules=5, max_syms=3, letters="mn"
+) -> PushdownSpec:
     n = rng.randint(1, max_states)
     states = tuple(f"p{i}" for i in range(n))
     syms = tuple("ABC"[: rng.randint(1, max_syms)])
@@ -119,7 +121,7 @@ def random_pushdown(rng: random.Random, max_states=3, max_rules=5, max_syms=3) -
         top = rng.choice(("",) + syms)
         push = "".join(rng.choice(syms) for _ in range(rng.randint(0, 2)))
         rules.append(
-            PdsRule(rng.choice(states), Label(sigil, rng.choice("mn")), top,
+            PdsRule(rng.choice(states), Label(sigil, rng.choice(letters)), top,
                     rng.choice(states), push)
         )
     return PushdownSpec(states, syms, (states[0],), tuple(rules))

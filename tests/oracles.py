@@ -1,6 +1,8 @@
 """Brute-force reference implementations the suite checks the package
 against.  Everything here favors obviousness over speed and shares no
-logic with the code under test beyond the process successor relation.
+logic with the code under test beyond the process successor relation,
+except :func:`unlock_one_query_at_a_time`, which replays the rbn
+unlocking loop one one-target pushdown query at a time.
 """
 
 from __future__ import annotations
@@ -8,7 +10,17 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from bncover import Label, VassConfig, vass_leq
+from bncover import (
+    Label,
+    QueryRecord,
+    SaturationTrace,
+    SweepRecord,
+    VassConfig,
+    add_receives,
+    pds_coverable,
+    strip_receives,
+    vass_leq,
+)
 
 
 def scan_minimal(configs, order) -> set:
@@ -57,6 +69,32 @@ def forward_cover(spec, target, counter_cap=8, depth_cap=12):
                     covered = True
                 frontier.append((succ, depth + 1))
     return covered, complete
+
+
+def unlock_one_query_at_a_time(spec):
+    """The rbn unlocking loop of a pushdown ``spec`` with one
+    ``pds_coverable`` call per query, each against the process as it stood
+    when the sweep began: the trace of its sweeps and the unlocked process."""
+    current = strip_receives(spec)
+    remaining = list(spec.alphabet)
+    sweeps = []
+    while True:
+        unlocked, queries = [], []
+        for letter in list(remaining):
+            for config in spec.min_enabling(Label.broadcast(letter)):
+                covered = pds_coverable(current, config).coverable
+                queries.append(QueryRecord(letter, config, covered))
+                if covered:
+                    unlocked.append(letter)
+                    remaining.remove(letter)
+                    break
+        sweeps.append(SweepRecord(tuple(unlocked), tuple(queries)))
+        for letter in unlocked:
+            current = add_receives(current, letter)
+        if not any(spec.has_receives(letter) for letter in unlocked):
+            break
+    done = frozenset(spec.alphabet) - frozenset(remaining)
+    return SaturationTrace(tuple(sweeps), done), current
 
 
 def injections_brute(g1, g2, label_leq):

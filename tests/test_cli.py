@@ -146,6 +146,18 @@ def test_cli_explore_replay_round_trip(tmp_path, capsys):
     assert main(["replay", str(MODELS / "relay.bn"), "--witness", str(witness)]) == 1
 
 
+@pytest.mark.parametrize("bounds, message", [
+    (["--nodes", "0", "--depth", "3"], "need at least one node"),
+    (["--nodes", "2", "--depth", "-1"], "depth must be nonnegative"),
+    (["--nodes", "2", "--depth", "3", "--counter-cap", "-1"], "counter cap must be nonnegative"),
+])
+def test_cli_explore_rejects_bad_bounds(bounds, message, capsys):
+    assert main(["explore", str(MODELS / "relay.bn"), *bounds]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_cli_explore_goes_on_after_an_exhausted_query(tmp_path, capsys, monkeypatch):
     model = tmp_path / "relay3.bn"
     model.write_text(

@@ -9,10 +9,12 @@ from bncover import (
     PdsConfig,
     PdsRule,
     PushdownSpec,
+    Verdict,
     add_receives,
     minimize,
     pds_coverable,
     pds_leq,
+    pds_saturate,
     parse_model,
     strip_receives,
 )
@@ -169,6 +171,47 @@ def test_saturation_round_counts_are_pinned():
         target = PdsConfig(rng.choice(spec.states), stack)
         verdict = pds_coverable(spec, target)
         assert (str(target), verdict.coverable, verdict.iterations) == (text, covered, rounds)
+
+
+def test_undeclared_targets_are_not_coverable_and_bottom_may_end_a_stack():
+    # states and stack symbols the spec never declares are never reached
+    push = push_only()
+    handshake = parse_model((MODELS / "handshake_pushdown.bn").read_text()).process
+    for spec, state, stack, covered, rounds in [
+        (push, "zz", "", False, 1), (push, "r", "AZA", False, 1),
+        (push, "q", "AZA", False, 1), (push, "q", "_", True, 1), (push, "q", "A_", True, 2),
+        (handshake, "zz", "A", False, 2), (handshake, "idle", "AZA", False, 2),
+        (handshake, "done", "_", True, 3), (handshake, "done", "A_", True, 4),
+        (handshake, "idle", "AA_", True, 3), (handshake, "stuck", "_", False, 2),
+    ]:
+        target = PdsConfig(state, stack)
+        verdict = Verdict(covered, rounds, (), None)
+        assert pds_coverable(spec, target) == verdict, target
+        assert pds_saturate(spec, (PdsConfig("q", ""), target))[1] == verdict, target
+
+
+def test_one_saturation_answers_each_target_as_its_own_call_would():
+    rng = random.Random(227)
+    checked = 0
+    for _ in range(150):
+        spec = random_pushdown(rng, max_states=5, max_rules=12)
+        if rng.random() < 0.5:
+            spec = add_receives(strip_receives(spec), rng.choice(spec.alphabet))
+        targets = [
+            PdsConfig(
+                rng.choice(spec.states),
+                "".join(rng.choice(spec.stack_alphabet) for _ in range(rng.randint(0, 3))),
+            )
+            for _ in range(rng.randint(1, 6))
+        ]
+        targets += rng.sample(targets, rng.randint(0, len(targets)))  # duplicates
+        rng.shuffle(targets)
+        single = [pds_coverable(spec, t) for t in targets]
+        assert list(pds_saturate(spec, targets)) == single, (spec, targets)
+        assert list(pds_saturate(spec, targets[::-1])) == single[::-1]
+        checked += len(targets)
+    assert pds_saturate(push_only(), ()) == ()
+    assert checked > 500
 
 
 def test_min_enabling_patterns():

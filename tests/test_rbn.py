@@ -20,11 +20,12 @@ from bncover import (
     run_queries,
     vass_leq,
 )
-from bncover import rbn
+from bncover import process, rbn
 from bncover.graphs import Reconfigurable
 from bncover.rbn import WITNESS_NODE_CAP, rbn_unlock
 
 from conftest import MODELS, cfg, random_finite, random_pushdown, random_vass
+from oracles import unlock_one_query_at_a_time
 
 
 def check_trace(spec, trace):
@@ -174,7 +175,10 @@ def test_second_query_on_an_equal_process_reuses_the_unlocking(relay_model, monk
         calls.append(target)
         return plain(spec, target, limits)
 
+    # the final query calls rbn.coverable, the unlocking loop's counter-model
+    # queries process.coverable
     monkeypatch.setattr(rbn, "coverable", counting)
+    monkeypatch.setattr(process, "coverable", counting)
     first = rbn_coverable(relay_model.process, cfg("q4", 0))
     assert len(calls) == first.trace.total_queries + 1
     calls.clear()
@@ -183,6 +187,15 @@ def test_second_query_on_an_equal_process_reuses_the_unlocking(relay_model, monk
     second = rbn_coverable(equal, cfg("q5", 0))
     assert calls == [cfg("q5", 0)]  # only the final, per-target query
     assert second.trace == first.trace
+
+
+def test_batched_sweeps_match_one_query_at_a_time():
+    rng = random.Random(229)
+    for _ in range(120):
+        spec = random_pushdown(rng, max_states=6, max_rules=20, letters="mnopq")
+        rbn_unlock.cache_clear()
+        trace, unlocked = rbn_unlock(spec)
+        assert (trace, unlocked) == unlock_one_query_at_a_time(spec), spec
 
 
 def test_memoized_results_equal_cold_results():
@@ -354,7 +367,10 @@ def test_former_bench_failures_get_composed_witnesses(monkeypatch):
         calls.append(target)
         return plain(spec, target, limits)
 
+    # the final query calls rbn.coverable, the unlocking loop's counter-model
+    # queries process.coverable
     monkeypatch.setattr(rbn, "coverable", counting)
+    monkeypatch.setattr(process, "coverable", counting)
     for text in (VASS7, VASS41):
         model = parse_model(text)
         rbn_unlock.cache_clear()
