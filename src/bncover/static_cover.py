@@ -16,6 +16,12 @@ and vertices of each control state as the smaller graph has, so
 :meth:`GraphSpace.leq` compares those counts before it searches, which
 settles most of its (mostly failing) tests.
 
+Work fixed by a shape and the class alone, whatever the process and the
+target, lives for the process: the extension table of each (class, shape)
+and the diam-deg shapes with their position orbits of each ``(k, d,
+n_max)`` are built by the first query that needs them and read by every
+later one.
+
 Positive verdicts at the graph level are sound when ``spec.receive_total()``
 holds: every state has, for every letter, a receive enabled in every
 configuration of that state.  Without that, a dominating graph may be
@@ -66,8 +72,13 @@ class _Wildcard:
 
 WILDCARD = _Wildcard()
 
-# Largest extension table GraphSpace keeps for one shape, in rows.
+# Largest extension table kept for one shape, in rows.
 _MAX_TABLE_ROWS = 5040
+
+# Process-wide shape-level work (see the module docstring): extension tables
+# by (class, shape), diam-deg shapes with their position orbits by (k, d, n_max).
+_EXTENSION_TABLES: dict = {}
+_DIAM_DEG_SHAPES: dict = {}
 
 
 def _counts_admit(small: LabelledGraph, large: LabelledGraph) -> bool:
@@ -79,7 +90,10 @@ def _counts_admit(small: LabelledGraph, large: LabelledGraph) -> bool:
     if small.n > large.n or len(small.edges) > len(large.edges):
         return False
     have = large.state_counts
-    return all(have.get(q, 0) >= k for q, k in small.state_counts.items())
+    for q, k in small.state_counts.items():
+        if have.get(q, 0) < k:
+            return False
+    return True
 
 
 class GraphSpace:
@@ -95,7 +109,6 @@ class GraphSpace:
         self.cls = cls
         self._config_leq = spec.leq
         self._pre_cache: dict = {}
-        self._ext_cache: dict = {}
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -142,24 +155,27 @@ class GraphSpace:
     def _vertex_pre(self, label_value, label: Label):
         """Predecessor basis of one vertex label under a process label."""
         key = (label_value, label)
-        if key not in self._pre_cache:
+        basis = self._pre_cache.get(key)
+        if basis is None:
             if label_value is WILDCARD:
                 basis = tuple(self.spec.min_enabling(label))
             else:
                 basis = tuple(self.spec.pre_basis_for_label(label, (label_value,)))
             self._pre_cache[key] = basis
-        return self._pre_cache[key]
+        return basis
 
     def _extensions(self, shape: Graph) -> Iterator[tuple]:
         """Every way to place ``shape`` inside a class-admissible extension
-        by one fresh vertex, as ``(extension, fresh vertex, preimage of
-        each old vertex, neighbors of the fresh vertex)``, extensions in
-        :func:`enumerate_extensions` order and injections in
-        :func:`graph_injections` order.  Fixed by the shape and the class,
-        so kept per shape, unless the table has more than
+        by one fresh vertex, as ``(extension, fresh vertex, preimage of each
+        extension vertex (None at the fresh one), neighbors of the fresh
+        vertex)``, extensions in :func:`enumerate_extensions` order and
+        injections in :func:`graph_injections` order.  Fixed by the shape
+        and the class, so kept for the life of the process and shared by
+        every query over the class, unless the table has more than
         ``_MAX_TABLE_ROWS`` rows: a clique on n vertices has (n+1)! of them,
         and those are rebuilt on every call instead."""
-        table = self._ext_cache.get(shape)
+        key = (self.cls, shape)
+        table = _EXTENSION_TABLES.get(key)
         if table is not None:
             yield from table
             return
@@ -169,15 +185,18 @@ class GraphSpace:
             # be, so its edges iterate (and print) in that same order
             ext = Graph(ext.n, ext.edges)
             for inj in graph_injections(shape, ext):
-                fresh = next(w for w in range(ext.n) if w not in inj)
-                row = (ext, fresh, {w: i for i, w in enumerate(inj)}, ext.neighbors(fresh))
+                back: list = [None] * ext.n
+                for i, w in enumerate(inj):
+                    back[w] = i
+                fresh = back.index(None)
+                row = (ext, fresh, tuple(back), ext.neighbors(fresh))
                 if rows is not None:
                     rows.append(row)
                     if len(rows) > _MAX_TABLE_ROWS:
                         rows = None
                 yield row
         if rows is not None:
-            self._ext_cache[shape] = tuple(rows)
+            _EXTENSION_TABLES[key] = tuple(rows)
 
     def pre_graphs(self, theta: LabelledGraph, letter: str) -> tuple[LabelledGraph, ...]:
         """Unminimized predecessor graphs of the upward closure of ``theta``
@@ -213,11 +232,14 @@ class GraphSpace:
         # one fresh broadcaster attached in every class-admissible way
         enabling = self._vertex_pre(WILDCARD, bl)
         if enabling:
+            receives = None  # per vertex of theta, built at the first row: DiamDeg has none
             for ext, fresh, back, nbrs in self._extensions(theta.shape):
-                receiver_bases = [self._vertex_pre(theta.labels[back[u]], rl) for u in nbrs]
+                if receives is None:
+                    receives = [self._vertex_pre(l, rl) for l in theta.labels]
+                receiver_bases = [receives[back[u]] for u in nbrs]
                 if not all(receiver_bases):
                     continue
-                carried = [theta.labels[back[w]] if w != fresh else None for w in range(ext.n)]
+                carried = [None if i is None else theta.labels[i] for i in back]
                 for cv in enabling:
                     for combo in itertools.product(*receiver_bases):
                         labels = list(carried)
@@ -264,10 +286,23 @@ def static_coverable(
     return backward_coverability(gspace, single_vertex(target), limits, observer)
 
 
-def _position_orbits(shape: Graph) -> list[int]:
+def _position_orbits(shape: Graph) -> tuple[int, ...]:
     """One representative vertex, the least, per orbit of the automorphism group."""
     autos = shape.automorphisms()
-    return sorted({min(perm[v] for perm in autos) for v in range(shape.n)})
+    return tuple(sorted({min(perm[v] for perm in autos) for v in range(shape.n)}))
+
+
+def _diam_deg_shapes(k: int, d: int, n_max: int) -> tuple[tuple[Graph, tuple[int, ...]], ...]:
+    """The diam-deg shapes of :func:`enumerate_diam_deg_graphs`, each with its
+    position orbits, built once per ``(k, d, n_max)`` for the process."""
+    key = (k, d, n_max)
+    shapes = _DIAM_DEG_SHAPES.get(key)
+    if shapes is None:
+        shapes = tuple(
+            (shape, _position_orbits(shape)) for shape in enumerate_diam_deg_graphs(k, d, n_max)
+        )
+        _DIAM_DEG_SHAPES[key] = shapes
+    return shapes
 
 
 def diam_deg_coverable(
@@ -290,8 +325,8 @@ def diam_deg_coverable(
     gspace = GraphSpace(spec, DiamDeg(k, d))
     total_iterations = 0
     certificates: list[LabelledGraph] = []
-    for shape in enumerate_diam_deg_graphs(k, d, n_max):
-        for pos in _position_orbits(shape):
+    for shape, orbits in _diam_deg_shapes(k, d, n_max):
+        for pos in orbits:
             labels = tuple(target if i == pos else WILDCARD for i in range(shape.n))
             seed = shape.labelled(labels)
             try:

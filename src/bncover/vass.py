@@ -80,11 +80,12 @@ class VassConfig:
 
 
 def vass_leq(c1: VassConfig, c2: VassConfig) -> bool:
-    return (
-        c1.state == c2.state
-        and len(c1.counters) == len(c2.counters)
-        and all(a <= b for a, b in zip(c1.counters, c2.counters))
-    )
+    if c1.state != c2.state or len(c1.counters) != len(c2.counters):
+        return False
+    for a, b in zip(c1.counters, c2.counters):
+        if a > b:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -162,21 +162,102 @@ def test_broadcast_only_static_equals_plain_coverability():
     assert agreements == 30
 
 
+def _empty_shape_stores(monkeypatch):
+    """Empty the process-wide shape stores for the rest of the test; returns
+    the extension-table store."""
+    from bncover import static_cover
+
+    monkeypatch.setattr(static_cover, "_EXTENSION_TABLES", {})
+    monkeypatch.setattr(static_cover, "_DIAM_DEG_SHAPES", {})
+    return static_cover._EXTENSION_TABLES
+
+
 def test_extension_tables_over_the_cap_are_rebuilt_alike(relay, monkeypatch):
     from bncover import static_cover
 
     def decide():
+        """The tables one query keeps, each query starting from an empty store."""
+        tables = _empty_shape_stores(monkeypatch)
         gspace = GraphSpace(relay, PathBounded(3))
-        return gspace, backward_coverability(gspace, single_vertex(cfg("q4", 0)))
+        return tables, backward_coverability(gspace, single_vertex(cfg("q4", 0)))
 
-    kept_space, kept = decide()
-    assert max(len(t) for t in kept_space._ext_cache.values()) > 2
+    kept_tables, kept = decide()
+    assert max(len(t) for t in kept_tables.values()) > 2
     monkeypatch.setattr(static_cover, "_MAX_TABLE_ROWS", 2)
-    capped_space, capped = decide()
-    assert all(len(t) <= 2 for t in capped_space._ext_cache.values())
-    assert len(capped_space._ext_cache) < len(kept_space._ext_cache)
+    capped_tables, capped = decide()
+    assert all(len(t) <= 2 for t in capped_tables.values())
+    assert len(capped_tables) < len(kept_tables)
     assert capped.iterations == kept.iterations
     assert repr((capped.basis, capped.chain)) == repr((kept.basis, kept.chain))
+
+
+def test_a_second_query_builds_no_shape_work_again(relay, monkeypatch):
+    from bncover import static_cover
+
+    extended: list = []
+    enumerated: list = []
+    plain_extensions = static_cover.enumerate_extensions
+    plain_shapes = static_cover.enumerate_diam_deg_graphs
+
+    def counting_extensions(shape, cls):
+        extended.append((cls, shape))
+        return plain_extensions(shape, cls)
+
+    def counting_shapes(*args):
+        enumerated.append(args)
+        return plain_shapes(*args)
+
+    monkeypatch.setattr(static_cover, "enumerate_extensions", counting_extensions)
+    monkeypatch.setattr(static_cover, "enumerate_diam_deg_graphs", counting_shapes)
+
+    def decided(verdict):
+        return repr((verdict.basis, verdict.chain))
+
+    tables = _empty_shape_stores(monkeypatch)
+    cold = static_coverable(relay, cfg("q4", 0), PathBounded(3))
+    # one enumeration per (class, shape) pair, none of them over the cap
+    assert 0 < len(extended) == len(set(extended)) == len(tables)
+    seen = set(extended)
+    extended.clear()
+    warm = static_coverable(relay, cfg("q4", 0), PathBounded(3))
+    assert extended == []
+    assert decided(warm) == decided(cold)
+    # another target enumerates only shapes not met before
+    warm = static_coverable(relay, cfg("q7", 0), PathBounded(3))
+    assert not seen & set(extended)
+    _empty_shape_stores(monkeypatch)
+    assert decided(warm) == decided(static_coverable(relay, cfg("q7", 0), PathBounded(3)))
+
+    _empty_shape_stores(monkeypatch)
+    cold = diam_deg_coverable(relay, cfg("q4", 0), 2, 2, 3)
+    assert len(enumerated) == 1
+    warm = diam_deg_coverable(relay, cfg("q4", 0), 2, 2, 3)
+    assert len(enumerated) == 1
+    assert decided(warm) == decided(cold)
+
+
+def test_verdicts_do_not_depend_on_the_order_of_queries(relay, monkeypatch):
+    rng = random.Random(163)
+    queries = [(relay, cfg("q4", 0)), (relay, cfg("q7", 0))]
+    for _ in range(10):
+        spec = random_receive_total(rng)
+        queries.append((spec, VassConfig(rng.choice(spec.states), (0,) * spec.dim)))
+    classes = (PathBounded(2), PathBounded(3), Clique(), DiamDeg(2, 2))
+    queries = [(spec, target, cls) for spec, target in queries for cls in classes]
+
+    def decide(spec, target, cls):
+        if isinstance(cls, DiamDeg):
+            return diam_deg_coverable(spec, target, cls.k, cls.d, 3)
+        return static_coverable(spec, target, cls)
+
+    # each pass starts from empty stores and fills them in its own order
+    _empty_shape_stores(monkeypatch)
+    forward = [decide(*q) for q in queries]
+    _empty_shape_stores(monkeypatch)
+    backward = [decide(*q) for q in reversed(queries)]
+    assert repr(forward) == repr(backward[::-1])
+    assert sum(v.coverable for v in forward) >= 5
+    assert sum(not v.coverable for v in forward) >= 5
 
 
 def test_basis_graphs_stay_in_class(relay):

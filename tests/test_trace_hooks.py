@@ -1,12 +1,14 @@
 """The benchmark's per-layer counters (``bench/tracing.py``) wrap functions by
 module attribute, so a refactor that calls around a traced name would
-silently zero its counter.  This runs the tracer over both process
-families and checks that each counter the process layer feeds moves."""
+silently zero its counter, and so would a warm shape store.  This runs the
+tracer over both process families, with the graph layer's shape stores
+emptied first, and checks that each counter the process and graph layers
+feed moves."""
 
 import sys
 from pathlib import Path
 
-from bncover import cli, parse_model, rbn
+from bncover import cli, parse_model, rbn, static_cover
 from bncover.order import ResourceLimits
 
 from conftest import MODELS
@@ -19,6 +21,9 @@ TRACED = (
     ("vass", "vass_pre_basis"),
     ("vass", "vass_successors"),
     ("pushdown", "pds_coverable"),
+    ("graphs", "enumerate_extensions"),
+    ("graphs", "graph_embeds"),
+    ("graphs", "enumerate_diam_deg_graphs"),
 )
 
 
@@ -37,11 +42,19 @@ def test_trace_hooks_count_every_process_layer_call(monkeypatch):
 
     before = _originals()
     rbn.rbn_unlock.cache_clear()  # a cached unlocking loop would issue no queries
+    # stored extension tables and diam-deg shapes would not be built again
+    monkeypatch.setattr(static_cover, "_EXTENSION_TABLES", {})
+    monkeypatch.setattr(static_cover, "_DIAM_DEG_SHAPES", {})
+    relay = (MODELS / "relay.bn").read_text()
+    texts = (
+        relay + "query cover state=q4 vector=(0) semantics=diam-deg:2,2,3\n",
+        (MODELS / "handshake_pushdown.bn").read_text(),
+    )
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        for name in ("relay.bn", "handshake_pushdown.bn"):
-            model = parse_model((MODELS / name).read_text())
+        for text in texts:
+            model = parse_model(text)
             for i, query in enumerate(model.queries):
                 cli.run_query(model, query, i, ResourceLimits(), want_witness=True)
     finally:
