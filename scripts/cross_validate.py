@@ -31,7 +31,6 @@ from bncover import (
     VassConfig,
     WitnessExtractionFailed,
     backward_coverability,
-    diam_deg_coverable,
     explore,
     pds_coverable,
     rbn_coverable,
@@ -122,11 +121,8 @@ def sweep_static_vs_explore(rng, rounds):
         spec = random_receive_total(rng)
         for state in spec.states:
             target = VassConfig(state, (0,) * spec.dim)
-            for cls in (PathBounded(2), Clique(), DiamDeg(2, 2)):
-                if isinstance(cls, DiamDeg):
-                    verdict = diam_deg_coverable(spec, target, cls.k, cls.d, 3)
-                else:
-                    verdict = static_coverable(spec, target, cls)
+            for cls in (PathBounded(2), Clique(), DiamDeg(2, 2, 3)):
+                verdict = static_coverable(spec, target, cls)
                 hit = any(explore(spec, cls, n, 8, target) is not None for n in (2, 3))
                 if hit and not verdict.coverable:
                     disagreements.append(f"explorer covers, {cls} says not coverable: {spec} {target}")

@@ -22,7 +22,7 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DECIDERS = ("static_coverable", "diam_deg_coverable", "rbn_coverable")
+DECIDERS = ("static_coverable", "rbn_coverable")
 
 
 def result_lines(name: str, model, want_witness: bool) -> list:

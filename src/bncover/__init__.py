@@ -20,7 +20,6 @@ from .graphs import (
     Reconfigurable,
     TopologyClass,
     canonical_form,
-    diam_deg_size_bound,
     diameter,
     enumerate_diam_deg_graphs,
     enumerate_extensions,

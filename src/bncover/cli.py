@@ -19,29 +19,25 @@ import time
 from typing import Optional
 
 from .explore import explore, replay
-from .graphs import Clique, DiamDeg, PathBounded, Reconfigurable, TopologyClass
+from .graphs import Reconfigurable
 from .modelfile import ModelError, ModelFile, Query, parse_model
 from .order import ResourceExhausted, ResourceLimits
 from .rbn import WitnessExtractionFailed, rbn_coverable, rbn_witness
 from .report import QueryReport, Report, report_to_json, run_from_json, run_to_json
-from .static_cover import diam_deg_coverable, static_coverable, static_witness_run
+from .static_cover import static_coverable, static_witness_run
 
 VERDICT_COVERABLE = "coverable"
 VERDICT_NOT = "not-coverable"
 VERDICT_EXHAUSTED = "resource-exhausted"
 
 
-def _topology(query: Query) -> TopologyClass:
-    """The topology class that ``query``'s semantics ranges over."""
-    if query.semantics == "rbn":
-        return Reconfigurable()
-    if query.semantics == "diam-deg":
-        return DiamDeg(query.params[0], query.params[1])
-    if query.semantics == "path-bounded":
-        return PathBounded(query.params[0])
-    if query.semantics == "clique":
-        return Clique()
-    raise ValueError(query.semantics)
+def _with_caps(limits: ResourceLimits, source) -> ResourceLimits:
+    """``limits`` with each cap that ``source`` (a query, or the parsed
+    command line) does not leave None put in its place."""
+    return ResourceLimits(
+        max_basis=limits.max_basis if source.max_basis is None else source.max_basis,
+        max_iters=limits.max_iters if source.max_iters is None else source.max_iters,
+    )
 
 
 def run_query(
@@ -53,32 +49,29 @@ def run_query(
 ) -> QueryReport:
     spec = model.process
     target = query.target(spec)
-    limits = ResourceLimits(
-        max_basis=query.max_basis if query.max_basis is not None else defaults.max_basis,
-        max_iters=query.max_iters if query.max_iters is not None else defaults.max_iters,
-    )
+    cls = query.topology
+    rewirable = isinstance(cls, Reconfigurable)
+    limits = _with_caps(defaults, query)
     started = time.perf_counter()
     witness = None
     trace_rows = sweeps = inner = iterations = basis_size = None
     try:
-        if query.semantics == "rbn":
+        if rewirable:
             result = rbn_coverable(spec, target, limits)
             decided = result.verdict
             sweeps = len(result.trace.rounds)
             inner = result.trace.total_queries
             trace_rows = tuple((r.unlocked, len(r.queries)) for r in result.trace.rounds)
-        elif query.semantics == "diam-deg":
-            decided = diam_deg_coverable(spec, target, *query.params, limits)
         else:
-            decided = static_coverable(spec, target, _topology(query), limits)
+            decided = static_coverable(spec, target, cls, limits)
         verdict = VERDICT_COVERABLE if decided.coverable else VERDICT_NOT
         iterations, basis_size = decided.iterations, len(decided.basis)
         if want_witness and decided.coverable:
             try:
-                if query.semantics == "rbn":
+                if rewirable:
                     witness = rbn_witness(spec, target, result.trace, chain=decided.chain)
                 else:
-                    witness = static_witness_run(spec, decided, _topology(query))
+                    witness = static_witness_run(spec, decided, cls)
             except (WitnessExtractionFailed, ResourceExhausted, RuntimeError):
                 # the verdict is decided; only the construction of a run gave up
                 witness = None
@@ -132,19 +125,11 @@ def _load_model(path: str):
         return None
 
 
-def _limits_from_args(args) -> ResourceLimits:
-    base = ResourceLimits()
-    return ResourceLimits(
-        max_basis=args.max_basis if args.max_basis is not None else base.max_basis,
-        max_iters=args.max_iters if args.max_iters is not None else base.max_iters,
-    )
-
-
 def _cmd_verify(args) -> int:
     model = _load_model(args.model)
     if model is None:
         return 1
-    report = run_queries(model, args.model, _limits_from_args(args), args.witness)
+    report = run_queries(model, args.model, _with_caps(ResourceLimits(), args), args.witness)
     for r in report.results:
         print(f"query {r.index}: cover {r.target_text} [{r.semantics}] -> {r.verdict} ({r.time_s:.3f}s)")
     if args.report:
@@ -167,7 +152,7 @@ def _cmd_explore(args) -> int:
         try:
             run = explore(
                 model.process,
-                _topology(query),
+                query.topology,
                 args.nodes,
                 args.depth,
                 target,

@@ -310,20 +310,24 @@ class Clique:
 
 @dataclass(frozen=True)
 class DiamDeg:
-    """Connected graphs with diameter at most ``k`` and degree at most ``d``.
+    """Connected graphs with diameter at most ``k``, degree at most ``d`` and,
+    when ``n_max`` is given, at most ``n_max`` vertices.
 
-    Fixed-shape semantics: saturation never extends these graphs.
+    Fixed-shape semantics: saturation never extends these graphs.  Deciding
+    the class needs the vertex cap; exploring a fixed node count does not.
     """
 
     k: int
     d: int
+    n_max: Optional[int] = None
 
     def __post_init__(self):
-        if self.k < 1 or self.d < 1:
-            raise ValueError("diameter and degree bounds must be at least 1")
+        if self.k < 1 or self.d < 1 or (self.n_max is not None and self.n_max < 1):
+            raise ValueError("diameter, degree and vertex bounds must be at least 1")
 
     def __str__(self) -> str:
-        return f"diam-deg:{self.k},{self.d}"
+        bounds = (self.k, self.d) if self.n_max is None else (self.k, self.d, self.n_max)
+        return "diam-deg:" + ",".join(map(str, bounds))
 
 
 @dataclass(frozen=True)
@@ -347,7 +351,11 @@ def in_class(shape: Graph, cls: TopologyClass) -> bool:
     if isinstance(cls, Clique):
         return all(shape.adjacent(a, b) for a, b in itertools.combinations(range(shape.n), 2))
     if isinstance(cls, DiamDeg):
-        return diameter(shape) <= cls.k and max_degree(shape) <= cls.d
+        return (
+            (cls.n_max is None or shape.n <= cls.n_max)
+            and diameter(shape) <= cls.k
+            and max_degree(shape) <= cls.d
+        )
     if isinstance(cls, Reconfigurable):
         return True
     raise TypeError(f"unknown topology class {cls!r}")
@@ -479,15 +487,3 @@ def enumerate_diam_deg_graphs(k: int, d: int, n_max: int) -> tuple[Graph, ...]:
             collect(g)
     return tuple(collected.values())
 
-
-def diam_deg_size_bound(k: int, d: int) -> Optional[float]:
-    """Reference value of a published closed-form bound on the size of
-    graphs with diameter ``k`` and degree ``d``: ``(k*(k-1)**d - 2)/(k-2)``.
-
-    Returned for information only; it is undefined at ``k == 2`` (None) and
-    the enumeration above never relies on it, taking an explicit vertex cap
-    instead.
-    """
-    if k == 2:
-        return None
-    return (k * (k - 1) ** d - 2) / (k - 2)

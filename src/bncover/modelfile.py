@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
+from .graphs import Clique, DiamDeg, PathBounded, Reconfigurable, TopologyClass
 from .pushdown import BOTTOM, PdsConfig, PdsRule, PushdownSpec
 from .vass import Label, VassConfig, VassSpec, VassTransition, complete_receives
 
@@ -58,17 +59,14 @@ class Query:
     state: str
     vector: Optional[tuple[int, ...]]
     stack: Optional[str]
-    semantics: str  # "rbn" | "path-bounded" | "clique" | "diam-deg"
-    params: tuple[int, ...]
+    topology: TopologyClass
     max_basis: Optional[int]
     max_iters: Optional[int]
     line: int
 
     @property
     def semantics_text(self) -> str:
-        if not self.params:
-            return self.semantics
-        return f"{self.semantics}:{','.join(str(p) for p in self.params)}"
+        return str(self.topology)
 
     def target(self, spec):
         if isinstance(spec, PushdownSpec):
@@ -422,17 +420,33 @@ def _build_spec(kind, dim, stack_symbols, states, inits, trans, dead):
     return spec
 
 
-_SEMANTICS = re.compile(r"(rbn|clique|path-bounded:\d+|diam-deg:\d+,\d+,\d+)$")
+# semantics name -> (topology class, number of integer parameters)
+_SEMANTICS = {
+    "rbn": (Reconfigurable, 0),
+    "clique": (Clique, 0),
+    "path-bounded": (PathBounded, 1),
+    "diam-deg": (DiamDeg, 3),
+}
+_SEMANTICS_REMEDY = "pick rbn, path-bounded:K, clique or diam-deg:K,D,N"
+
+
+def _parse_semantics(text: str, line: int, col: int) -> TopologyClass:
+    name, colon, args = text.partition(":")
+    cls, arity = _SEMANTICS.get(name, (None, -1))
+    params = args.split(",") if colon else []
+    if len(params) != arity or not all(re.fullmatch(r"\d+", p) for p in params):
+        raise ModelSyntaxError(f"unknown semantics {text!r}", line, col, _SEMANTICS_REMEDY)
+    values = [int(p) for p in params]
+    if any(v < 1 for v in values):
+        raise ModelSyntaxError(f"semantics parameters must be at least 1: {text}", line, col)
+    return cls(*values)
 
 
 def _build_query(fields, line, col, kind, dim, stack_symbols, states) -> Query:
     if "state" not in fields:
         raise ModelSyntaxError("query lacks state=<state>", line, col)
     if "semantics" not in fields:
-        raise ModelSyntaxError(
-            "query lacks semantics=<...>", line, col,
-            "pick rbn, path-bounded:K, clique or diam-deg:K,D,N"
-        )
+        raise ModelSyntaxError("query lacks semantics=<...>", line, col, _SEMANTICS_REMEDY)
     state, scol = fields.pop("state")
     if state not in states:
         raise UndeclaredIdentifier(
@@ -440,21 +454,8 @@ def _build_query(fields, line, col, kind, dim, stack_symbols, states) -> Query:
             "query targets must appear in the process section"
         )
     sem_text, sem_col = fields.pop("semantics")
-    if not _SEMANTICS.match(sem_text):
-        raise ModelSyntaxError(
-            f"unknown semantics {sem_text!r}", line, sem_col,
-            "pick rbn, path-bounded:K, clique or diam-deg:K,D,N"
-        )
-    if ":" in sem_text:
-        semantics, params_text = sem_text.split(":", 1)
-        params = tuple(int(p) for p in params_text.split(","))
-    else:
-        semantics, params = sem_text, ()
-    if semantics in ("path-bounded", "diam-deg") and any(p < 1 for p in params):
-        raise ModelSyntaxError(
-            f"semantics parameters must be at least 1: {sem_text}", line, sem_col
-        )
-    if kind == "pushdown" and semantics != "rbn":
+    topology = _parse_semantics(sem_text, line, sem_col)
+    if kind == "pushdown" and not isinstance(topology, Reconfigurable):
         raise ModelSyntaxError(
             "pushdown processes support semantics=rbn only", line, sem_col,
             "fixed-topology semantics need a finite or vass process"
@@ -508,4 +509,4 @@ def _build_query(fields, line, col, kind, dim, stack_symbols, states) -> Query:
             f"unknown query field {bad!r}", line, fields[bad][1],
             "allowed: state, vector, stack, semantics, max-basis, max-iters"
         )
-    return Query(state, vector, stack, semantics, params, max_basis, max_iters, line)
+    return Query(state, vector, stack, topology, max_basis, max_iters, line)

@@ -48,13 +48,11 @@ class OrderedSpace(Protocol):
     """Contract a configuration space must satisfy to run under saturation.
 
     ``labels`` lists the transition labels in declaration order.  ``leq``
-    must be reflexive and transitive, ``successors`` finitely branching,
-    and ``pre_basis_for_label(label, basis)`` must return a finite basis of
-    the one-step ``label``-predecessors of the upward closure of ``basis``.
-    ``min_enabling(label)`` is a basis of the configurations at which some
-    ``label`` transition fires.  A counter process spec
-    (:class:`~bncover.vass.VassSpec`) is such a space itself, as is the
-    graph space of a fixed-topology class
+    must be reflexive and transitive, and ``pre_basis_for_label(label,
+    basis)`` must return a finite basis of the one-step
+    ``label``-predecessors of the upward closure of ``basis``.  A counter
+    process spec (:class:`~bncover.vass.VassSpec`) is such a space itself,
+    as is the graph space of a fixed-topology class
     (:class:`~bncover.static_cover.GraphSpace`).
     """
 
@@ -66,10 +64,6 @@ class OrderedSpace(Protocol):
     def covered_by_initial(self, config) -> bool: ...
 
     def pre_basis_for_label(self, label, basis: Sequence) -> Sequence: ...
-
-    def successors(self, config, label) -> Sequence: ...
-
-    def min_enabling(self, label) -> Sequence: ...
 
 
 def minimize(configs: Sequence, leq: Callable) -> tuple:

@@ -141,7 +141,7 @@ class PushdownSpec:
             ):
                 yield r
 
-    # -- the process protocol (see ``order.OrderedSpace``) ------------------
+    # -- the process protocol (see ``process``) ------------------------------
 
     leq = staticmethod(pds_leq)
 

@@ -10,7 +10,7 @@ tells the two process families apart.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .explore import RunStep
@@ -127,31 +127,26 @@ class Report:
     results: tuple[QueryReport, ...]
 
 
-_RESULT_KEYS = {
-    "index", "state", "vector", "stack", "semantics", "verdict", "time_s",
-    "iterations", "basis_size", "sweeps", "inner_queries", "trace", "witness",
+# per report field JSON cannot hold as it is: (encode, decode), applied
+# to values that are not None; every other field is written as it is
+_CODECS = {
+    "vector": (list, tuple),
+    "trace": (
+        lambda trace: [[list(u), q] for u, q in trace],
+        lambda rows: tuple((tuple(u), q) for u, q in rows),
+    ),
+    "witness": (run_to_json, run_from_json),
 }
 
 
+def _coded(name: str, value, decode: bool):
+    codec = _CODECS.get(name)
+    return value if value is None or codec is None else codec[decode](value)
+
+
 def report_to_json(report: Report) -> str:
-    results = []
-    for r in report.results:
-        entry = {
-            "index": r.index,
-            "state": r.state,
-            "vector": list(r.vector) if r.vector is not None else None,
-            "stack": r.stack,
-            "semantics": r.semantics,
-            "verdict": r.verdict,
-            "time_s": r.time_s,
-            "iterations": r.iterations,
-            "basis_size": r.basis_size,
-            "sweeps": r.sweeps,
-            "inner_queries": r.inner_queries,
-            "trace": [[list(u), q] for u, q in r.trace] if r.trace is not None else None,
-            "witness": run_to_json(r.witness) if r.witness is not None else None,
-        }
-        results.append(entry)
+    names = [f.name for f in fields(QueryReport)]
+    results = [{n: _coded(n, getattr(r, n), decode=False) for n in names} for r in report.results]
     payload = {"format": REPORT_FORMAT, "model": report.model, "results": results}
     return json.dumps(payload, indent=2)
 
@@ -161,28 +156,9 @@ def report_from_json(text: str) -> Report:
     _expect_keys(data, {"format", "model", "results"})
     if data["format"] != REPORT_FORMAT:
         raise ValueError(f"unsupported report format {data.get('format')!r}")
+    names = [f.name for f in fields(QueryReport)]
     results = []
     for entry in data["results"]:
-        _expect_keys(entry, _RESULT_KEYS)
-        results.append(
-            QueryReport(
-                index=entry["index"],
-                state=entry["state"],
-                vector=tuple(entry["vector"]) if entry["vector"] is not None else None,
-                stack=entry["stack"],
-                semantics=entry["semantics"],
-                verdict=entry["verdict"],
-                time_s=entry["time_s"],
-                iterations=entry["iterations"],
-                basis_size=entry["basis_size"],
-                sweeps=entry["sweeps"],
-                inner_queries=entry["inner_queries"],
-                trace=tuple((tuple(u), q) for u, q in entry["trace"])
-                if entry["trace"] is not None
-                else None,
-                witness=run_from_json(entry["witness"])
-                if entry["witness"] is not None
-                else None,
-            )
-        )
+        _expect_keys(entry, set(names))
+        results.append(QueryReport(**{n: _coded(n, entry[n], decode=True) for n in names}))
     return Report(data["model"], tuple(results))

@@ -135,11 +135,6 @@ class GraphSpace:
             out.extend(bn_step(self.spec, theta, v, letter))
         return tuple(out)
 
-    def min_enabling(self, letter: str) -> tuple[LabelledGraph, ...]:
-        return tuple(
-            single_vertex(c) for c in self.spec.min_enabling(Label.broadcast(letter))
-        )
-
     def pre_basis_for_label(self, letter: str, thetas: Sequence[LabelledGraph]):
         """Predecessor graphs of ``thetas``, duplicates dropped but not
         minimized: the saturation engine minimizes them against its
@@ -275,12 +270,18 @@ def static_coverable(
     Saturates backward from the one-vertex graph labelled ``target``; the
     answer is positive exactly when a basis graph has every vertex label
     dominated by an initial configuration (it then sits below an
-    all-initial graph of the same class shape).
+    all-initial graph of the same class shape).  A diam-deg class, which
+    must carry its vertex cap, is decided shape by shape instead
+    (:func:`diam_deg_coverable`).
     """
+    if isinstance(cls, DiamDeg):
+        if cls.n_max is None:
+            raise ValueError("deciding a diam-deg class needs its vertex cap n_max")
+        return diam_deg_coverable(spec, target, cls.k, cls.d, cls.n_max, limits, observer)
     if not isinstance(cls, (PathBounded, Clique)):
         raise ValueError(
-            "fixed-topology saturation covers path-bounded and clique classes; "
-            "use diam_deg_coverable or rbn_coverable otherwise"
+            "fixed-topology saturation covers path-bounded, clique and diam-deg "
+            "classes; use rbn_coverable for rbn"
         )
     gspace = GraphSpace(spec, cls)
     return backward_coverability(gspace, single_vertex(target), limits, observer)
@@ -322,6 +323,8 @@ def diam_deg_coverable(
     shape-preserving saturation; the overall answer is the disjunction.
     """
     limits = limits or ResourceLimits()
+    # without the vertex cap: the shapes are given, and every cap shares
+    # their (empty) extension tables
     gspace = GraphSpace(spec, DiamDeg(k, d))
     total_iterations = 0
     certificates: list[LabelledGraph] = []

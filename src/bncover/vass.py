@@ -189,7 +189,7 @@ class VassSpec:
             ):
                 yield t
 
-    # -- the process protocol (see ``order.OrderedSpace``) ------------------
+    # -- the process protocol (see ``process``) ------------------------------
 
     leq = staticmethod(vass_leq)
 

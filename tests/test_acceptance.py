@@ -148,7 +148,7 @@ def test_criterion_5_loop_bounds(relay, relay_traces):
     for path in ("relay.bn", "lone_receiver.bn", "handshake_pushdown.bn"):
         model = parse_model((MODELS / path).read_text())
         for query in model.queries:
-            if query.semantics != "rbn":
+            if not isinstance(query.topology, Reconfigurable):
                 continue
             result = rbn_coverable(model.process, query.target(model.process))
             relay_traces.append((model.process, result.trace))

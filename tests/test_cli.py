@@ -165,7 +165,7 @@ def test_cli_explore_goes_on_after_an_exhausted_query(tmp_path, capsys, monkeypa
     )
     relay = parse_model(model.read_text())
     query = relay.queries[0]
-    first = cli.explore(relay.process, cli._topology(query), 3, 9, query.target(relay.process))
+    first = cli.explore(relay.process, query.topology, 3, 9, query.target(relay.process))
     answers = [first, ResourceExhausted("state budget hit: 9 states on 3 nodes"), None]
 
     def scripted(*args, **kwargs):
@@ -227,7 +227,7 @@ def test_diff_reports_ignores_times_and_names_each_difference(relay_model, tmp_p
     assert diff("empty", "empty").returncode == 2
 
 
-def test_dump_results_writes_each_decider_result_and_witness(relay_model):
+def test_dump_results_writes_each_decider_result_and_witness():
     import importlib.util
 
     path = Path(__file__).parent.parent / "scripts" / "dump_results.py"
@@ -235,13 +235,93 @@ def test_dump_results_writes_each_decider_result_and_witness(relay_model):
     dump_results = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(dump_results)
 
+    model = parse_model(
+        (MODELS / "relay.bn").read_text()
+        + "query cover state=q5 vector=(0) semantics=clique\n"
+        + "query cover state=q5 vector=(0) semantics=diam-deg:2,2,3\n"
+    )
     deciders = [getattr(cli, d) for d in dump_results.DECIDERS]
-    lines = dump_results.result_lines("relay", relay_model, want_witness=True)
+    lines = dump_results.result_lines("relay", model, want_witness=True)
     assert [getattr(cli, d) for d in dump_results.DECIDERS] == deciders
-    assert lines == dump_results.result_lines("relay", relay_model, want_witness=True)
-    rbn, static = [line for line in lines if " result: " in line]
+    assert lines == dump_results.result_lines("relay", model, want_witness=True)
+    rbn, static, clique, diam_deg = [line for line in lines if " result: " in line]
     assert rbn.startswith("relay 0 rbn coverable result: RbnResult(") and "trace=" in rbn
     assert static.startswith("relay 1 path-bounded:2 not-coverable result: Verdict(")
     assert "basis=(LabelledGraph(" in static
+    assert clique.startswith("relay 2 clique coverable result: Verdict(coverable=True")
+    assert diam_deg.startswith("relay 3 diam-deg:2,2,3 coverable result: Verdict(coverable=True")
     witness = [line for line in lines if " witness: " in line]
-    assert len(witness) == 1 and witness[0].startswith("relay 0 rbn coverable witness: (RunStep(")
+    assert [line.split(" witness: ")[0] for line in witness] == [
+        "relay 0 rbn coverable", "relay 2 clique coverable", "relay 3 diam-deg:2,2,3 coverable",
+    ]
+    assert all(line.split(" witness: ")[1].startswith("(RunStep(") for line in witness)
+
+
+# covering s<k> takes k+1 nodes: k receivers of a and one broadcaster of it
+COUNTING = """process finite
+init i
+trans i -> b on !!a
+trans i -> s0 on !!c
+trans i -> i on ??a
+trans i -> i on ??c
+trans s0 -> s1 on ??a
+trans s1 -> s2 on ??a
+trans s2 -> s3 on ??a
+option complete-receives dead=d
+query cover state=s2 semantics=diam-deg:2,3,2
+query cover state=s2 semantics=diam-deg:2,3,3
+"""
+
+
+def test_explore_keeps_to_the_diam_deg_vertex_cap(tmp_path, capsys):
+    model = tmp_path / "counting.bn"
+    model.write_text(COUNTING)
+    assert main(["verify", str(model)]) == 0
+    out = capsys.readouterr().out
+    assert "query 0: cover s2 [diam-deg:2,3,2] -> not-coverable" in out
+    assert "query 1: cover s2 [diam-deg:2,3,3] -> coverable" in out
+    assert main(["explore", str(model), "--nodes", "3", "--depth", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "query 0: no covering run within 3 nodes" in out
+    assert "query 1: covering run found, 3 steps on 3 nodes" in out
+    assert main(["explore", str(model), "--nodes", "4", "--depth", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "query 0: no covering run within 4 nodes" in out
+    assert "query 1: no covering run within 4 nodes" in out
+
+
+# ROADMAP item 3's reproductions: the graph-level deciders assume a
+# receive-total process, and neither model is one, so each positive below
+# is unbacked (no run covers t, and no witness comes back)
+NOT_RECEIVE_TOTAL = {
+    "a-state-without-receives": """process finite
+init q
+trans q -> s on !!a
+trans q -> p on ??a
+trans p -> t on !!c
+query cover state=t semantics=path-bounded:2
+query cover state=t semantics=clique
+""",
+    "b-decrementing-receive": """process vass dim=1
+init q vector=(0)
+trans q -> s on !!a
+trans q -> p on ??a
+trans p -> t on !!c
+trans s -> s on ??c delta=(-1)
+option complete-receives dead=d
+query cover state=t vector=(0) semantics=path-bounded:2
+query cover state=t vector=(0) semantics=clique
+""",
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: positives on processes that are not receive-total are not gated yet",
+)
+@pytest.mark.parametrize("name", sorted(NOT_RECEIVE_TOTAL))
+def test_no_unbacked_coverable_on_processes_that_are_not_receive_total(name):
+    report = run_queries(parse_model(NOT_RECEIVE_TOTAL[name]), name, want_witness=True)
+    assert [r.semantics for r in report.results] == ["path-bounded:2", "clique"]
+    rows = [(r.semantics, r.verdict, r.witness) for r in report.results]
+    assert all(verdict != "coverable" for _, verdict, _ in rows), rows

@@ -15,7 +15,6 @@ from bncover import (
     Reconfigurable,
     VassConfig,
     canonical_form,
-    diam_deg_size_bound,
     diameter,
     enumerate_diam_deg_graphs,
     enumerate_extensions,
@@ -290,6 +289,14 @@ def test_reconfigurable_accepts_everything():
     assert in_class(path(4), Reconfigurable())
 
 
+def test_diam_deg_vertex_cap_is_part_of_the_class():
+    assert in_class(path(3), DiamDeg(2, 2)) and in_class(path(3), DiamDeg(2, 2, 3))
+    assert not in_class(path(3), DiamDeg(2, 2, 2))
+    assert (str(DiamDeg(2, 3)), str(DiamDeg(2, 3, 4))) == ("diam-deg:2,3", "diam-deg:2,3,4")
+    with pytest.raises(ValueError):
+        DiamDeg(2, 2, 0)
+
+
 # ---------------------------------------------------------------------------
 # canonical forms and enumeration
 
@@ -340,11 +347,6 @@ def test_enumerate_diam_deg_matches_exhaustive_oracle():
                 wanted[canonical_form(g)] = g
     got = {canonical_form(g) for g in enumerate_diam_deg_graphs(2, 2, 4)}
     assert got == set(wanted)
-
-
-def test_size_bound_is_reference_only():
-    assert diam_deg_size_bound(2, 2) is None
-    assert diam_deg_size_bound(3, 2) == (3 * 2 ** 2 - 2) / 1
 
 
 def test_self_loops_rejected():

@@ -4,12 +4,14 @@ from hypothesis import strategies as st
 
 from bncover import (
     BOTTOM,
+    DiamDeg,
     DimensionMismatch,
     Label,
     ModelError,
     ModelSyntaxError,
     PdsConfig,
     PushdownSpec,
+    Reconfigurable,
     UndeclaredIdentifier,
     VassConfig,
     VassSpec,
@@ -27,7 +29,7 @@ def test_relay_file_transcription(relay_model):
     assert relay_model.dead_state == "qdead"
     assert spec.alphabet == ("a", "b", "c", "d")
     assert len(relay_model.queries) == 2
-    assert relay_model.queries[0].semantics == "rbn"
+    assert relay_model.queries[0].topology == Reconfigurable()
     assert relay_model.queries[1].semantics_text == "path-bounded:2"
 
 
@@ -160,7 +162,35 @@ def test_diam_deg_semantics_parameters():
         "query cover state=s1 semantics=diam-deg:2,3,4\n"
     )
     q = model.queries[0]
-    assert q.semantics == "diam-deg" and q.params == (2, 3, 4)
+    assert q.topology == DiamDeg(2, 3, 4)
+
+
+_SEMANTICS_QUERY = "process finite\ninit s0\ntrans s0 -> s1 on !!x\nquery cover state=s1 semantics="
+
+
+@pytest.mark.parametrize(
+    "text", ["rbn", "clique", "path-bounded:1", "path-bounded:12", "diam-deg:2,3,4"]
+)
+def test_each_accepted_semantics_reads_back_as_written(text):
+    query = parse_model(_SEMANTICS_QUERY + text + "\n").queries[0]
+    assert str(query.topology) == query.semantics_text == text
+
+
+@pytest.mark.parametrize("text, message, remedy", [
+    ("rbn:", "unknown semantics 'rbn:'", True),
+    ("clique:3", "unknown semantics 'clique:3'", True),
+    ("path-bounded", "unknown semantics 'path-bounded'", True),
+    ("path-bounded:0", "semantics parameters must be at least 1: path-bounded:0", False),
+    ("diam-deg:2,2", "unknown semantics 'diam-deg:2,2'", True),
+    ("diam-deg:2,0,4", "semantics parameters must be at least 1: diam-deg:2,0,4", False),
+    ("diam-deg:2,2,0", "semantics parameters must be at least 1: diam-deg:2,2,0", False),
+    ("banana", "unknown semantics 'banana'", True),
+])
+def test_rejected_semantics_fail_at_the_semantics_column(text, message, remedy):
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(_SEMANTICS_QUERY + text + "\n")
+    assert (err.value.line, err.value.col, err.value.message) == (4, 22, message)
+    assert bool(err.value.remedy) == remedy
 
 
 def test_unknown_semantics_has_remedy():

@@ -242,19 +242,14 @@ def test_verdicts_do_not_depend_on_the_order_of_queries(relay, monkeypatch):
     for _ in range(10):
         spec = random_receive_total(rng)
         queries.append((spec, VassConfig(rng.choice(spec.states), (0,) * spec.dim)))
-    classes = (PathBounded(2), PathBounded(3), Clique(), DiamDeg(2, 2))
+    classes = (PathBounded(2), PathBounded(3), Clique(), DiamDeg(2, 2, 3))
     queries = [(spec, target, cls) for spec, target in queries for cls in classes]
-
-    def decide(spec, target, cls):
-        if isinstance(cls, DiamDeg):
-            return diam_deg_coverable(spec, target, cls.k, cls.d, 3)
-        return static_coverable(spec, target, cls)
 
     # each pass starts from empty stores and fills them in its own order
     _empty_shape_stores(monkeypatch)
-    forward = [decide(*q) for q in queries]
+    forward = [static_coverable(*q) for q in queries]
     _empty_shape_stores(monkeypatch)
-    backward = [decide(*q) for q in reversed(queries)]
+    backward = [static_coverable(*q) for q in reversed(queries)]
     assert repr(forward) == repr(backward[::-1])
     assert sum(v.coverable for v in forward) >= 5
     assert sum(not v.coverable for v in forward) >= 5
@@ -345,17 +340,13 @@ def test_explorer_runs_imply_fixed_topology_positives():
         spec = random_receive_total(rng)
         for state in spec.states:
             target = VassConfig(state, (0,) * spec.dim)
-            for cls in (PathBounded(2), Clique(), DiamDeg(2, 2)):
+            for cls in (PathBounded(2), Clique(), DiamDeg(2, 2, 3)):
                 runs = [explore(spec, cls, n, 8, target) for n in (2, 3)]
                 runs = [run for run in runs if run is not None]
                 if not runs:
                     continue
                 deep += min(len(run) for run in runs) > 2  # two broadcasts or more
-                if isinstance(cls, DiamDeg):
-                    verdict = diam_deg_coverable(spec, target, cls.k, cls.d, 3)
-                else:
-                    verdict = static_coverable(spec, target, cls)
-                assert verdict.coverable, (spec, target, cls)
+                assert static_coverable(spec, target, cls).coverable, (spec, target, cls)
     assert deep >= 5
 
 
@@ -383,6 +374,9 @@ def test_static_rejects_non_static_classes(relay):
 
     with pytest.raises(ValueError):
         static_coverable(relay, cfg("q4", 0), Reconfigurable())
+    # a diam-deg class is decided up to its vertex cap, so it must carry one
+    with pytest.raises(ValueError):
+        static_coverable(relay, cfg("q4", 0), DiamDeg(2, 2))
 
 
 # ---------------------------------------------------------------------------

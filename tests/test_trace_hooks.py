@@ -2,8 +2,8 @@
 module attribute, so a refactor that calls around a traced name would
 silently zero its counter, and so would a warm shape store.  This runs the
 tracer over both process families, with the graph layer's shape stores
-emptied first, and checks that each counter the process and graph layers
-feed moves."""
+emptied first, and checks that each counter the process, graph and network
+layers feed moves."""
 
 import sys
 from pathlib import Path
@@ -24,6 +24,9 @@ TRACED = (
     ("graphs", "enumerate_extensions"),
     ("graphs", "graph_embeds"),
     ("graphs", "enumerate_diam_deg_graphs"),
+    ("rbn", "rbn_coverable"),
+    ("rbn", "rbn_witness"),
+    ("static_cover", "static_witness_run"),
 )
 
 
@@ -47,7 +50,9 @@ def test_trace_hooks_count_every_process_layer_call(monkeypatch):
     monkeypatch.setattr(static_cover, "_DIAM_DEG_SHAPES", {})
     relay = (MODELS / "relay.bn").read_text()
     texts = (
-        relay + "query cover state=q4 vector=(0) semantics=diam-deg:2,2,3\n",
+        relay + "query cover state=q4 vector=(0) semantics=diam-deg:2,2,3\n"
+        # positive, so its witness run is built
+        + "query cover state=q5 vector=(0) semantics=diam-deg:2,2,3\n",
         (MODELS / "handshake_pushdown.bn").read_text(),
     )
     tracer = tracing.Tracer()
