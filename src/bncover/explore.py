@@ -16,6 +16,9 @@ from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .graphs import (
+    Clique,
+    DiamDeg,
+    Graph,
     LabelledGraph,
     Reconfigurable,
     TopologyClass,
@@ -132,6 +135,26 @@ def replay(spec, run: Sequence[RunStep]) -> ReplayResult:
     return ReplayResult(True)
 
 
+def build_run(start: LabelledGraph, events) -> Run:
+    """The run that opens at ``start`` and plays ``events`` in order.
+
+    Each event is ``(vertex, letter, labels, edges)``: ``vertex``
+    broadcasts ``letter`` and the graph then carries ``labels``.  When
+    ``edges`` is a set of ``(low, high)`` pairs other than the current
+    edge set, a reconfiguration step to it comes first; ``None`` keeps the
+    edges.
+    """
+    graph = start
+    steps = [RunStep("init", graph)]
+    for vertex, letter, labels, edges in events:
+        if edges is not None and edges != graph.edges:
+            graph = reconfigure(graph, edges)
+            steps.append(RunStep("reconfigure", graph))
+        graph = graph.shape.labelled(labels)
+        steps.append(RunStep("broadcast", graph, vertex, letter))
+    return tuple(steps)
+
+
 def explore(
     spec,
     semantics: TopologyClass,
@@ -151,9 +174,11 @@ def explore(
     hit is still an exact positive while absence is only meaningful within
     the bounds.  For the rewirable semantics the state space is the label
     multiset: edges are materialized on demand as a star around each
-    broadcaster, which covers every useful edge set; states are deduped
-    modulo label-preserving isomorphism.  ``receive_letters`` optionally
-    restricts which letters may ever be received (pruning only).
+    broadcaster, which covers every useful edge set.  A fixed class is
+    searched shape by shape, with states deduped modulo the shape's
+    automorphisms; a class whose vertex cap is below ``n_nodes`` has no
+    shape to search.  ``receive_letters`` optionally restricts which
+    letters may ever be received (pruning only).
     """
     if n_nodes < 1:
         raise ValueError("need at least one node")
@@ -161,55 +186,103 @@ def explore(
         raise ValueError("depth must be nonnegative")
     if counter_cap < 0:
         raise ValueError("counter cap must be nonnegative")
-    if isinstance(semantics, Reconfigurable):
-        return _explore_rewirable(
-            spec, n_nodes, depth, target, counter_cap, receive_letters, max_states
-        )
-    return _explore_static(spec, semantics, n_nodes, depth, target, counter_cap, max_states)
-
-
-def _explore_rewirable(spec, n, depth, target, cap, receive_letters, max_states):
     tle = spec.leq
-    letters = [(a, Label.broadcast(a), Label.receive(a)) for a in spec.alphabet]
-    allowed = set(spec.alphabet) if receive_letters is None else set(receive_letters)
 
-    def covers(ms) -> bool:
-        return any(tle(target, c) for c in ms)
+    def covers(labels) -> bool:
+        return any(tle(target, c) for c in labels)
 
-    parents: dict = {}
+    def search(roots, successors, key) -> Optional[list]:
+        return _search(roots, successors, key, covers, n_nodes, depth, max_states)
+
+    if isinstance(semantics, Reconfigurable):
+        letters = [(a, Label.broadcast(a), Label.receive(a)) for a in spec.alphabet]
+        allowed = set(spec.alphabet) if receive_letters is None else set(receive_letters)
+        inits = sorted(spec.initial_configs(), key=_sort_key)
+        path = search(
+            itertools.combinations_with_replacement(inits, n_nodes),
+            lambda ms: _rewirable_steps(spec, ms, letters, allowed, counter_cap),
+            lambda ms: ms,
+        )
+        return None if path is None else _rewirable_run(path)
+
+    inits = sorted(set(spec.initial_configs()), key=_sort_key)
+    for shape in _fixed_shapes(semantics, n_nodes):
+        autos = shape.automorphisms()
+
+        def canon(labels: tuple) -> tuple:
+            return min(
+                (tuple(labels[p] for p in perm) for perm in autos),
+                key=lambda t: tuple(c.sort_key for c in t),
+            )
+
+        def steps(labels: tuple):
+            theta = shape.labelled(labels)
+            for v in range(n_nodes):
+                for a in spec.alphabet:
+                    for succ in bn_step(spec, theta, v, a):
+                        if all(c.size <= counter_cap for c in succ.labels):
+                            yield succ.labels, (v, a)
+
+        path = search(itertools.product(inits, repeat=n_nodes), steps, canon)
+        if path is not None:
+            events = [(v, a, labels, None) for labels, (v, a) in path[1:]]
+            return build_run(shape.labelled(path[0][0]), events)
+    return None
+
+
+def _search(roots, successors, key, covers, n, depth, max_states) -> Optional[list]:
+    """Breadth-first search from ``roots`` for a state that ``covers``
+    accepts, with states deduped by ``key``; ``successors(state)`` yields
+    ``(state, step)`` pairs.
+
+    Returns the path to the first such state, root first, as
+    ``(state, step)`` pairs (the root's step is ``None``), or ``None``
+    when ``depth`` layers hold none.  Raises :class:`ResourceExhausted`
+    once ``max_states`` states are recorded and another would be.
+    """
+    parents: dict = {}  # key -> (parent key, step, state)
     frontier = []
-    inits = sorted(spec.initial_configs(), key=_sort_key)
-    for ms in itertools.combinations_with_replacement(inits, n):
-        if ms in parents:
+    for state in roots:
+        k = key(state)
+        if k in parents:
             continue
-        parents[ms] = None
-        if covers(ms):
-            return _rewirable_run(spec, ms, parents)
-        frontier.append(ms)
+        parents[k] = (None, None, state)
+        if covers(state):
+            return _path(parents, k)
+        frontier.append((k, state))
 
     for _ in range(depth):
         grown = []
-        for ms in frontier:
-            for succ, info in _rewirable_steps(spec, ms, letters, allowed, cap):
-                if succ in parents:
+        for at, state in frontier:
+            for succ, step in successors(state):
+                k = key(succ)
+                if k in parents:
                     continue
                 if len(parents) >= max_states:
                     raise ResourceExhausted(f"state budget hit: {len(parents)} states on {n} nodes")
-                parents[succ] = (ms, info)
+                parents[k] = (at, step, succ)
                 if covers(succ):
-                    return _rewirable_run(spec, succ, parents)
-                grown.append(succ)
+                    return _path(parents, k)
+                grown.append((k, succ))
         if not grown:
             break
         frontier = grown
     return None
 
 
+def _path(parents: dict, k) -> list:
+    path = []
+    while k is not None:
+        k, step, state = parents[k]
+        path.append((state, step))
+    path.reverse()
+    return path
+
+
 def _rewirable_steps(spec, ms, letters, allowed, cap):
     """Successor multisets: one node broadcasts, any subset of
     receive-capable others receives (the rest is simply left unlinked).
     ``letters`` holds one ``(letter, !!letter, ??letter)`` triple per letter."""
-    out = []
     tried = set()
     for i, cfg in enumerate(ms):
         if cfg in tried:
@@ -232,128 +305,35 @@ def _rewirable_steps(spec, ms, letters, allowed, cap):
                     per_other.append(opts)
                 for choice in itertools.product(*per_other):
                     succ = tuple(sorted([emitted] + [c for _, c in choice], key=_sort_key))
-                    out.append((succ, (i, a, emitted, choice)))
-    return out
+                    yield succ, (i, a, emitted, choice)
 
 
-def _rewirable_run(spec, final_ms, parents) -> Run:
-    chain = []
-    cursor = final_ms
-    while parents[cursor] is not None:
-        prev, info = parents[cursor]
-        chain.append((prev, info))
-        cursor = prev
-    chain.reverse()
-
-    node_cfgs = list(cursor)  # root multiset is already sorted
-    edges: frozenset = frozenset()
-    steps: list[RunStep] = [
-        RunStep("init", LabelledGraph(len(node_cfgs), frozenset(), tuple(node_cfgs)))
-    ]
-    for prev_ms, (bi, letter, emitted, choice) in chain:
+def _rewirable_run(path: list) -> Run:
+    """The run along a path of label multisets: each step's broadcaster
+    is linked to exactly the nodes that receive."""
+    node_cfgs = list(path[0][0])  # root multiset is already sorted
+    n = len(node_cfgs)
+    events = []
+    for _, (bi, letter, emitted, choice) in path[1:]:
         # align node identities with the sorted multiset the step was computed on
-        order = sorted(range(len(node_cfgs)), key=lambda j: node_cfgs[j].sort_key)
+        order = sorted(range(n), key=lambda j: node_cfgs[j].sort_key)
         bnode = order[bi]
         others = order[:bi] + order[bi + 1 :]
-        receivers = [node for node, (took, _) in zip(others, choice) if took]
-        wanted = frozenset((min(bnode, r), max(bnode, r)) for r in receivers)
-        if wanted != edges:
-            edges = wanted
-            steps.append(
-                RunStep("reconfigure", LabelledGraph(len(node_cfgs), edges, tuple(node_cfgs)))
-            )
         node_cfgs[bnode] = emitted
+        receivers = []
         for node, (took, cfg) in zip(others, choice):
             if took:
                 node_cfgs[node] = cfg
-        steps.append(
-            RunStep(
-                "broadcast",
-                LabelledGraph(len(node_cfgs), edges, tuple(node_cfgs)),
-                vertex=bnode,
-                letter=letter,
-            )
-        )
-    return tuple(steps)
+                receivers.append(node)
+        edges = frozenset((min(bnode, r), max(bnode, r)) for r in receivers)
+        events.append((bnode, letter, tuple(node_cfgs), edges))
+    return build_run(LabelledGraph(n, frozenset(), path[0][0]), events)
 
 
-def _explore_static(spec, cls, n, depth, target, cap, max_states):
-    tle = spec.leq
-    letters = list(spec.alphabet)
-    inits = sorted(set(spec.initial_configs()), key=_sort_key)
-    shapes = [g for g in enumerate_graphs(n) if in_class(g, cls)]
-
-    for shape in shapes:
-        autos = shape.automorphisms()
-
-        def canon(labels: tuple) -> tuple:
-            return min(
-                (tuple(labels[perm[i]] for i in range(len(labels))) for perm in autos),
-                key=lambda t: tuple(c.sort_key for c in t),
-            )
-
-        def covers(labels: tuple) -> bool:
-            return any(tle(target, c) for c in labels)
-
-        parents: dict = {}
-        frontier = []
-        for labels in itertools.product(inits, repeat=n):
-            key = canon(labels)
-            if key in parents:
-                continue
-            parents[key] = (None, labels)
-            if covers(labels):
-                return (RunStep("init", shape.labelled(labels)),)
-            frontier.append(labels)
-
-        hit = None
-        for _ in range(depth):
-            grown = []
-            for labels in frontier:
-                theta = shape.labelled(labels)
-                for v in range(n):
-                    for a in letters:
-                        for succ in bn_step(spec, theta, v, a):
-                            if any(c.size > cap for c in succ.labels):
-                                continue
-                            key = canon(succ.labels)
-                            if key in parents:
-                                continue
-                            if len(parents) >= max_states:
-                                raise ResourceExhausted(
-                                    f"state budget hit: {len(parents)} states on {n} nodes"
-                                )
-                            parents[key] = (labels, v, a, succ.labels)
-                            if covers(succ.labels):
-                                hit = succ.labels
-                                break
-                            grown.append(succ.labels)
-                        if hit:
-                            break
-                    if hit:
-                        break
-                if hit:
-                    break
-            if hit or not grown:
-                break
-            frontier = grown
-
-        if hit is not None:
-            chain = []
-            cursor = hit
-            while True:
-                record = parents[canon(cursor)]
-                if record[0] is None:
-                    root = record[1]
-                    break
-                prev, v, a, actual = record
-                chain.append((v, a, actual))
-                cursor = prev
-            chain.reverse()
-            steps = [RunStep("init", shape.labelled(root))]
-            for v, a, labels in chain:
-                steps.append(
-                    RunStep("broadcast", shape.labelled(labels), vertex=v, letter=a)
-                )
-            return tuple(steps)
-    return None
+def _fixed_shapes(cls, n: int) -> tuple[Graph, ...]:
+    """The graphs on exactly ``n`` vertices of the fixed class ``cls``."""
+    if isinstance(cls, Clique):
+        return (Graph.complete(n),)
+    if isinstance(cls, DiamDeg) and cls.n_max is not None and cls.n_max < n:
+        return ()
+    return tuple(g for g in enumerate_graphs(n) if in_class(g, cls))

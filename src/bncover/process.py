@@ -4,7 +4,8 @@ Each process model carries the protocol the network-level drivers use as
 its own methods (``leq``, ``initial_configs``, ``covered_by_initial``,
 ``successors``, ``min_enabling``, ``has_receives`` and ``receive_total``;
 see :class:`~bncover.vass.VassSpec` and
-:class:`~bncover.pushdown.PushdownSpec`).  Only the coverability engine
+:class:`~bncover.pushdown.PushdownSpec`, and their shared base
+:class:`~bncover.vass.ProcessSpec`).  Only the coverability engine
 differs between them: :func:`coverable` picks it for one target, and
 :func:`coverable_each` for a batch of targets on one process.
 """

@@ -16,11 +16,10 @@ sweep from one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional
 
-from .order import Verdict, minimize
-from .vass import Label, TransitionIndex
+from .order import Verdict
+from .vass import Label, ProcessSpec
 
 BOTTOM = "_"
 
@@ -84,7 +83,7 @@ class PdsRule:
 
 
 @dataclass(frozen=True)
-class PushdownSpec:
+class PushdownSpec(ProcessSpec):
     """Pushdown process specification.  Its protocol methods lack
     ``pre_basis_for_label``: the prefix order rules out saturation."""
 
@@ -117,29 +116,21 @@ class PushdownSpec:
             if any(g not in syms for g in r.top + r.push):
                 raise ValueError(f"rule {r} uses an undeclared stack symbol")
 
-    @cached_property
-    def alphabet(self) -> tuple[str, ...]:
-        """Letters in order of first appearance among declared rules."""
-        return tuple(dict.fromkeys(r.label.letter for r in self.rules))
+    @property
+    def declared(self) -> tuple[PdsRule, ...]:
+        return self.rules
 
-    @cached_property
-    def labels(self) -> tuple[Label, ...]:
-        """Active rule labels in order of first appearance."""
-        return tuple(self.index.by_label)
+    @staticmethod
+    def fires_from(r: PdsRule) -> PdsConfig:
+        """The source state under the inspected top symbol: a rule that
+        fires on any stack gives the empty-prefix pattern, which every
+        same-state configuration covers."""
+        return PdsConfig(r.source, r.top)
 
-    @cached_property
-    def index(self) -> TransitionIndex:
-        """Active rules by (source, label) and by label, built on first use."""
-        return TransitionIndex.of(self.active_rules())
-
-    def active_rules(self) -> Iterator[PdsRule]:
-        for r in self.rules:
-            if (
-                r.label.is_broadcast
-                or self.active_receives is None
-                or r.label.letter in self.active_receives
-            ):
-                yield r
+    @staticmethod
+    def always_enabled(r: PdsRule) -> bool:
+        """Whether the rule reads no stack top."""
+        return r.top == ""
 
     # -- the process protocol (see ``process``) ------------------------------
 
@@ -160,31 +151,6 @@ class PushdownSpec:
             elif config.stack.startswith(r.top):
                 out.append(PdsConfig(r.target, r.push + config.stack[1:]))
         return tuple(out)
-
-    def min_enabling(self, label: Label) -> tuple[PdsConfig, ...]:
-        """Minimal stack patterns from which a ``label`` rule can fire.
-
-        A rule inspecting top symbol ``g`` contributes ``(source, g)``; a rule
-        firing on any stack contributes the empty-prefix pattern, which every
-        same-state configuration covers.
-        """
-        pats = [PdsConfig(r.source, r.top) for r in self.index.by_label.get(label, ())]
-        return minimize(pats, pds_leq)
-
-    def has_receives(self, letter: str) -> bool:
-        """Whether the model declares any receive rule for ``letter``."""
-        return any(not r.label.is_broadcast and r.label.letter == letter for r in self.rules)
-
-    def receive_total(self) -> bool:
-        """Whether every state has, for every letter, an active receive that
-        reads no stack top, so it is enabled in every configuration of that
-        state.  Receives that ``strip_receives`` switched off do not count."""
-        have = {
-            (r.source, r.label.letter)
-            for r in self.active_rules()
-            if not r.label.is_broadcast and r.top == ""
-        }
-        return all((s, x) in have for s in self.states for x in self.alphabet)
 
 
 def pds_coverable(spec: PushdownSpec, target: PdsConfig) -> Verdict:
@@ -268,7 +234,9 @@ def pds_saturate(spec: PushdownSpec, targets) -> tuple[Verdict, ...]:
                 break
         return cur
 
-    rules = [(ctrl[r.source], r.top, 1 << ctrl[r.target], r.push) for r in spec.active_rules()]
+    rules = [
+        (ctrl[r.source], r.top, 1 << ctrl[r.target], r.push) for r in spec.active_transitions()
+    ]
     rounds = [0] * len(targets)
     done = 0
     while True:

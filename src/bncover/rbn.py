@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .explore import Run, RunStep, explore, replay
+from .explore import Run, build_run, explore, replay
 from .graphs import LabelledGraph, Reconfigurable
 from .order import ResourceLimits, Verdict
 from .process import coverable, coverable_each
@@ -192,7 +192,7 @@ def _compose(spec, chain: tuple, chains: dict) -> Run:
     following the chain that unlocked its letter, serve every receive.
 
     Nodes are only counted while composing: every node starts at an
-    initial configuration, so the steps are built once the count is known.
+    initial configuration, so the run is built once the count is known.
     """
     tle = spec.leq
     inits = spec.initial_configs()
@@ -228,19 +228,14 @@ def _compose(spec, chain: tuple, chains: dict) -> Run:
         return node, current
 
     follow(chain)
-    n = len(starts)
     labels = list(starts)
-    edges: frozenset = frozenset()
-    steps = [RunStep("init", LabelledGraph(n, edges, tuple(labels)))]
+    moves = []
     for vertex, letter, emitted, receiver, received in events:
-        wanted = frozenset() if receiver is None else frozenset({(receiver, vertex)})
-        if wanted != edges:
-            edges = wanted
-            steps.append(RunStep("reconfigure", LabelledGraph(n, edges, tuple(labels))))
         labels[vertex] = emitted
-        if receiver is not None:
+        if receiver is None:
+            edges = frozenset()
+        else:  # a helper is spawned after the node it serves
             labels[receiver] = received
-        steps.append(
-            RunStep("broadcast", LabelledGraph(n, edges, tuple(labels)), vertex, letter)
-        )
-    return tuple(steps)
+            edges = frozenset({(receiver, vertex)})
+        moves.append((vertex, letter, tuple(labels), edges))
+    return build_run(LabelledGraph(len(starts), frozenset(), tuple(starts)), moves)

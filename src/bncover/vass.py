@@ -126,16 +126,71 @@ class TransitionIndex:
         )
 
 
+class ProcessSpec:
+    """The process protocol members both process kinds share.
+
+    A spec supplies its declared transition list (``declared``), the least
+    configuration a transition fires from (``fires_from``) and whether a
+    receive transition is enabled in every configuration of its source
+    state (``always_enabled``); it also carries ``states``,
+    ``active_receives`` and ``leq``.  ``active_receives`` narrows which
+    receive letters are enabled: ``None`` enables every declared receive,
+    a set enables exactly those letters (broadcasts are always enabled).
+    """
+
+    @cached_property
+    def alphabet(self) -> tuple[str, ...]:
+        """Letters in order of first appearance among declared transitions."""
+        return tuple(dict.fromkeys(t.label.letter for t in self.declared))
+
+    @cached_property
+    def labels(self) -> tuple[Label, ...]:
+        """Active transition labels in order of first appearance."""
+        return tuple(self.index.by_label)
+
+    @cached_property
+    def index(self) -> TransitionIndex:
+        """Active transitions by (source, label) and by label, built on first use."""
+        return TransitionIndex.of(self.active_transitions())
+
+    def active_transitions(self) -> Iterator:
+        for t in self.declared:
+            if (
+                t.label.is_broadcast
+                or self.active_receives is None
+                or t.label.letter in self.active_receives
+            ):
+                yield t
+
+    def min_enabling(self, label: Label) -> tuple:
+        """Minimal configurations at which some ``label`` transition fires."""
+        out = [self.fires_from(t) for t in self.index.by_label.get(label, ())]
+        return minimize(out, self.leq)
+
+    def has_receives(self, letter: str) -> bool:
+        """Whether the model declares any receive transition for ``letter``."""
+        return any(not t.label.is_broadcast and t.label.letter == letter for t in self.declared)
+
+    def receive_total(self) -> bool:
+        """Whether every state has, for every letter, an active receive
+        enabled in every configuration of that state.  Receives that
+        ``strip_receives`` switched off do not count."""
+        have = {
+            (t.source, t.label.letter)
+            for t in self.active_transitions()
+            if not t.label.is_broadcast and self.always_enabled(t)
+        }
+        return all((s, x) in have for s in self.states for x in self.alphabet)
+
+
 @dataclass(frozen=True)
-class VassSpec:
+class VassSpec(ProcessSpec):
     """Counter process specification; its protocol methods make it an
     :class:`~bncover.order.OrderedSpace` that saturation runs over directly.
 
     ``initial`` pairs each initial control state with its starting counter
-    vector.  ``active_receives`` narrows which receive letters are enabled:
-    ``None`` enables every declared receive, a set enables exactly those
-    letters (broadcast transitions are always enabled).  The full declared
-    transition list is kept so disabled receives can be re-enabled later.
+    vector.  The full declared transition list is kept so receives that
+    ``active_receives`` disables can be re-enabled later.
     """
 
     states: tuple[str, ...]
@@ -165,29 +220,19 @@ class VassSpec:
             if len(t.delta) != self.dim:
                 raise ValueError(f"transition {t} has delta of wrong dimension")
 
-    @cached_property
-    def alphabet(self) -> tuple[str, ...]:
-        """Letters in order of first appearance among declared transitions."""
-        return tuple(dict.fromkeys(t.label.letter for t in self.transitions))
+    @property
+    def declared(self) -> tuple[VassTransition, ...]:
+        return self.transitions
 
-    @cached_property
-    def labels(self) -> tuple[Label, ...]:
-        """Active transition labels in order of first appearance."""
-        return tuple(self.index.by_label)
+    @staticmethod
+    def fires_from(t: VassTransition) -> VassConfig:
+        """The source state with counters ``max(0, -delta)``."""
+        return VassConfig(t.source, tuple(max(0, -v) for v in t.delta))
 
-    @cached_property
-    def index(self) -> "TransitionIndex":
-        """Active transitions by (source, label) and by label, built on first use."""
-        return TransitionIndex.of(self.active_transitions())
-
-    def active_transitions(self) -> Iterator[VassTransition]:
-        for t in self.transitions:
-            if (
-                t.label.is_broadcast
-                or self.active_receives is None
-                or t.label.letter in self.active_receives
-            ):
-                yield t
+    @staticmethod
+    def always_enabled(t: VassTransition) -> bool:
+        """Whether the update never decrements."""
+        return all(x >= 0 for x in t.delta)
 
     # -- the process protocol (see ``process``) ------------------------------
 
@@ -209,34 +254,6 @@ class VassSpec:
 
     def pre_basis_for_label(self, label: Label, basis: Sequence[VassConfig]) -> tuple[VassConfig, ...]:
         return vass_pre_basis(self, label, basis)
-
-    def min_enabling(self, label: Label) -> tuple[VassConfig, ...]:
-        """Minimal configurations at which some ``label`` transition fires.
-
-        Each transition contributes its source state with counters
-        ``max(0, -delta)``; the union is minimized.
-        """
-        out = [
-            VassConfig(t.source, tuple(max(0, -v) for v in t.delta))
-            for t in self.index.by_label.get(label, ())
-        ]
-        return minimize(out, vass_leq)
-
-    def has_receives(self, letter: str) -> bool:
-        """Whether the model declares any receive transition for ``letter``."""
-        return any(not t.label.is_broadcast and t.label.letter == letter for t in self.transitions)
-
-    def receive_total(self) -> bool:
-        """Whether every state has, for every letter, an active receive whose
-        update never decrements, so it is enabled in every configuration of
-        that state.  Receives that ``strip_receives`` switched off do not
-        count."""
-        have = {
-            (t.source, t.label.letter)
-            for t in self.active_transitions()
-            if not t.label.is_broadcast and all(x >= 0 for x in t.delta)
-        }
-        return all((s, x) in have for s in self.states for x in self.alphabet)
 
 
 def finite_spec(states, initial_states, transitions) -> VassSpec:

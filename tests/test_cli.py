@@ -290,6 +290,18 @@ def test_explore_keeps_to_the_diam_deg_vertex_cap(tmp_path, capsys):
     assert "query 1: no covering run within 4 nodes" in out
 
 
+def test_explore_past_six_nodes_needs_no_graph_enumeration(tmp_path, capsys):
+    # a clique has one shape on any node count, and a class capped below
+    # the node count has none, so neither enumerates the graphs on 7 nodes
+    model = tmp_path / "counting.bn"
+    model.write_text(COUNTING.replace("diam-deg:2,3,3", "clique"))
+    assert main(["explore", str(model), "--nodes", "7", "--depth", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "exhausted" not in out
+    assert "query 0: no covering run within 7 nodes" in out
+    assert "query 1: covering run found, 3 steps on 7 nodes" in out
+
+
 # ROADMAP item 3's reproductions: the graph-level deciders assume a
 # receive-total process, and neither model is one, so each positive below
 # is unbacked (no run covers t, and no witness comes back)

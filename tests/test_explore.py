@@ -4,6 +4,8 @@ import random
 import pytest
 
 from bncover import (
+    Clique,
+    DiamDeg,
     Label,
     LabelledGraph,
     PathBounded,
@@ -12,6 +14,7 @@ from bncover import (
     VassConfig,
     bn_step,
     explore,
+    in_class,
     reconfigure,
     replay,
     vass_leq,
@@ -172,12 +175,15 @@ def test_explored_witnesses_always_replay():
     for _ in range(30):
         spec = random_finite(rng)
         target = VassConfig(rng.choice(spec.states))
-        for semantics in (Reconfigurable(), PathBounded(2)):
+        for semantics in (Reconfigurable(), PathBounded(2), Clique(), DiamDeg(2, 2, 3)):
             run = explore(spec, semantics, rng.randint(1, 3), 6, target)
             if run is None:
                 continue
             outcome = replay(spec, run)
             assert outcome, (spec, target, semantics, outcome.reason)
+            if not isinstance(semantics, Reconfigurable):
+                assert all(step.kind != "reconfigure" for step in run), (spec, target, semantics)
+                assert in_class(run[-1].graph.shape, semantics), (spec, target, semantics)
             found += 1
     assert found >= 10
 

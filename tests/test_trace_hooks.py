@@ -27,6 +27,9 @@ TRACED = (
     ("rbn", "rbn_coverable"),
     ("rbn", "rbn_witness"),
     ("static_cover", "static_witness_run"),
+    ("explore", "explore"),
+    ("explore", "replay"),
+    ("explore", "bn_step"),
 )
 
 
