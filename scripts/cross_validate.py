@@ -6,12 +6,12 @@ against bounded forward search, the rewiring decider against plain
 coverability on broadcast-only models, the rewiring decider against
 forward exploration on small node counts, pushdown saturation against
 bounded forward search, the fixed-topology deciders (path-bounded,
-clique, diam-deg) against forward exploration on 2-3 nodes and against
-replay of their own witness runs, every rbn positive on counter
-models against replay of the witness composed from its unlocking chains,
-and rbn verdicts and traces on pushdown models, whose sweeps each run one
-batched saturation, against an unlocking loop that asks one query at a
-time.
+clique, diam-deg) against forward exploration on 2-3 nodes (2-5 on a
+clique) and against replay of their own witness runs, every rbn positive
+on counter models against replay of the witness composed from its
+unlocking chains, and rbn verdicts and traces on pushdown models, whose
+sweeps each run one batched saturation, against an unlocking loop that
+asks one query at a time.
 """
 
 import argparse
@@ -111,19 +111,20 @@ def sweep_pushdown_vs_forward(rng, rounds):
 
 
 def sweep_static_vs_explore(rng, rounds):
-    """On receive-total models, an explorer run on 2-3 nodes implies a
-    positive verdict (diam-deg decided up to 3 nodes), and a positive
-    verdict yields a witness run that replays and covers the target.
-    Prints every disagreement, then fails."""
+    """On receive-total models, an explorer run on 2-3 nodes (2-5 on a
+    clique) implies a positive verdict (diam-deg decided up to 3 nodes),
+    and a positive verdict yields a witness run that replays and covers
+    the target.  Prints every disagreement, then fails."""
     agreed = 0
     disagreements = []
     for _ in range(rounds):
         spec = random_receive_total(rng)
         for state in spec.states:
             target = VassConfig(state, (0,) * spec.dim)
-            for cls in (PathBounded(2), Clique(), DiamDeg(2, 2, 3)):
+            for cls in (PathBounded(2), PathBounded(3), Clique(), DiamDeg(2, 2, 3)):
                 verdict = static_coverable(spec, target, cls)
-                hit = any(explore(spec, cls, n, 8, target) is not None for n in (2, 3))
+                nodes = (2, 3, 4, 5) if isinstance(cls, Clique) else (2, 3)
+                hit = any(explore(spec, cls, n, 8, target) is not None for n in nodes)
                 if hit and not verdict.coverable:
                     disagreements.append(f"explorer covers, {cls} says not coverable: {spec} {target}")
                     continue

@@ -207,13 +207,20 @@ def explore(
 
     inits = sorted(set(spec.initial_configs()), key=_sort_key)
     for shape in _fixed_shapes(semantics, n_nodes):
-        autos = shape.automorphisms()
+        if len(shape.edges) in (0, n_nodes * (n_nodes - 1) // 2):
+            # every permutation is an automorphism: the least image is the
+            # sorted labelling, found without building all n! of them
+            def canon(labels: tuple) -> tuple:
+                return tuple(sorted(labels, key=_sort_key))
 
-        def canon(labels: tuple) -> tuple:
-            return min(
-                (tuple(labels[p] for p in perm) for perm in autos),
-                key=lambda t: tuple(c.sort_key for c in t),
-            )
+        else:
+            autos = shape.automorphisms()
+
+            def canon(labels: tuple) -> tuple:
+                return min(
+                    (tuple(labels[p] for p in perm) for perm in autos),
+                    key=lambda t: tuple(c.sort_key for c in t),
+                )
 
         def steps(labels: tuple):
             theta = shape.labelled(labels)

@@ -11,6 +11,17 @@ the relabelled vertices from per-vertex predecessor bases of the process,
 so every candidate has a joint successor labelling that dominates the
 original graph.
 
+The fresh vertex is always ``theta.n`` and ``theta`` keeps its own vertex
+numbers; no other placement of ``theta`` inside an extension is built.
+Such a placement attaches the fresh vertex to some vertex set A of
+``theta``, and its candidates are isomorphic, label for label, to those of
+the identity placement attached to A, which the class admits too, since
+class membership does not change under isomorphism.  Embedding does not
+change under isomorphism either, so every round's upward closure, and with
+it the verdict, the iteration count and the antichain's size, is the one
+the placements would give; only which isomorphic representative a basis,
+chain or witness holds depends on this choice.
+
 An embedding needs, in the larger graph, at least as many vertices, edges
 and vertices of each control state as the smaller graph has, so
 :meth:`GraphSpace.leq` compares those counts before it searches, which
@@ -33,7 +44,7 @@ receive decrements a counter; the deciders do not check it.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .explore import RunStep, bn_step
 from .graphs import (
@@ -47,7 +58,6 @@ from .graphs import (
     enumerate_diam_deg_graphs,
     enumerate_extensions,
     graph_embeds,
-    graph_injections,
     in_class,
     single_vertex,
 )
@@ -71,9 +81,6 @@ class _Wildcard:
 
 
 WILDCARD = _Wildcard()
-
-# Largest extension table kept for one shape, in rows.
-_MAX_TABLE_ROWS = 5040
 
 # Process-wide shape-level work (see the module docstring): extension tables
 # by (class, shape), diam-deg shapes with their position orbits by (k, d, n_max).
@@ -129,12 +136,6 @@ class GraphSpace:
             l is WILDCARD or self.spec.covered_by_initial(l) for l in theta.labels
         )
 
-    def successors(self, theta: LabelledGraph, letter: str) -> tuple[LabelledGraph, ...]:
-        out = []
-        for v in range(theta.n):
-            out.extend(bn_step(self.spec, theta, v, letter))
-        return tuple(out)
-
     def pre_basis_for_label(self, letter: str, thetas: Sequence[LabelledGraph]):
         """Predecessor graphs of ``thetas``, duplicates dropped but not
         minimized: the saturation engine minimizes them against its
@@ -159,39 +160,21 @@ class GraphSpace:
             self._pre_cache[key] = basis
         return basis
 
-    def _extensions(self, shape: Graph) -> Iterator[tuple]:
-        """Every way to place ``shape`` inside a class-admissible extension
-        by one fresh vertex, as ``(extension, fresh vertex, preimage of each
-        extension vertex (None at the fresh one), neighbors of the fresh
-        vertex)``, extensions in :func:`enumerate_extensions` order and
-        injections in :func:`graph_injections` order.  Fixed by the shape
-        and the class, so kept for the life of the process and shared by
-        every query over the class, unless the table has more than
-        ``_MAX_TABLE_ROWS`` rows: a clique on n vertices has (n+1)! of them,
-        and those are rebuilt on every call instead."""
+    def _extensions(self, shape: Graph) -> tuple[tuple[Graph, tuple[int, ...]], ...]:
+        """Every class-admissible extension of ``shape`` by the fresh vertex
+        ``shape.n``, as ``(extension, neighbors of the fresh vertex)`` in
+        :func:`enumerate_extensions` order.  Fixed by the shape and the
+        class, so kept for the life of the process and shared by every
+        query over the class."""
         key = (self.cls, shape)
         table = _EXTENSION_TABLES.get(key)
-        if table is not None:
-            yield from table
-            return
-        rows: Optional[list] = []
-        for ext in enumerate_extensions(shape, self.cls):
-            # validated afresh, as a graph built from this edge set would
-            # be, so its edges iterate (and print) in that same order
-            ext = Graph(ext.n, ext.edges)
-            for inj in graph_injections(shape, ext):
-                back: list = [None] * ext.n
-                for i, w in enumerate(inj):
-                    back[w] = i
-                fresh = back.index(None)
-                row = (ext, fresh, tuple(back), ext.neighbors(fresh))
-                if rows is not None:
-                    rows.append(row)
-                    if len(rows) > _MAX_TABLE_ROWS:
-                        rows = None
-                yield row
-        if rows is not None:
-            _EXTENSION_TABLES[key] = tuple(rows)
+        if table is None:
+            # each extension validated afresh, as a graph built from its edge
+            # set would be, so its edges iterate (and print) in that same order
+            exts = (Graph(ext.n, ext.edges) for ext in enumerate_extensions(shape, self.cls))
+            table = tuple((ext, ext.neighbors(shape.n)) for ext in exts)
+            _EXTENSION_TABLES[key] = table
+        return table
 
     def pre_graphs(self, theta: LabelledGraph, letter: str) -> tuple[LabelledGraph, ...]:
         """Unminimized predecessor graphs of the upward closure of ``theta``
@@ -202,9 +185,9 @@ class GraphSpace:
         from the pre-basis of its own label, and the fresh broadcaster one
         from the minimal enabling configurations; the transition each
         configuration came from fires, and for a vertex of ``theta`` lands
-        above its label.  The embedding of the construction (the identity,
-        or the table row's injection) keeps edges, non-edges and every
-        other label, so it carries ``theta`` into that successor graph."""
+        above its label.  The embedding of the construction (the identity)
+        keeps edges, non-edges and every other label, so it carries
+        ``theta`` into that successor graph."""
         bl, rl = Label.broadcast(letter), Label.receive(letter)
         emitted: list[LabelledGraph] = []
 
@@ -228,17 +211,15 @@ class GraphSpace:
         enabling = self._vertex_pre(WILDCARD, bl)
         if enabling:
             receives = None  # per vertex of theta, built at the first row: DiamDeg has none
-            for ext, fresh, back, nbrs in self._extensions(theta.shape):
+            for ext, nbrs in self._extensions(theta.shape):
                 if receives is None:
                     receives = [self._vertex_pre(l, rl) for l in theta.labels]
-                receiver_bases = [receives[back[u]] for u in nbrs]
+                receiver_bases = [receives[u] for u in nbrs]
                 if not all(receiver_bases):
                     continue
-                carried = [None if i is None else theta.labels[i] for i in back]
                 for cv in enabling:
                     for combo in itertools.product(*receiver_bases):
-                        labels = list(carried)
-                        labels[fresh] = cv
+                        labels = [*theta.labels, cv]
                         for u, cu in zip(nbrs, combo):
                             labels[u] = cu
                         emitted.append(ext.labelled(tuple(labels)))

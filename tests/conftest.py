@@ -45,6 +45,12 @@ def relay_raw():
 
 
 @pytest.fixture(scope="session")
+def counting():
+    """Finite process whose state s<k> needs k+1 nodes to cover."""
+    return parse_model((MODELS / "counting.bn").read_text()).process
+
+
+@pytest.fixture(scope="session")
 def lone_receiver():
     return finite_spec(["q", "qq"], ["q"], [("q", Label.receive("a"), "qq")])
 

@@ -6,6 +6,7 @@ import pytest
 from bncover import (
     Clique,
     DiamDeg,
+    Graph,
     Label,
     LabelledGraph,
     PathBounded,
@@ -193,3 +194,21 @@ def test_counter_cap_prunes_but_positives_are_exact(relay):
     assert explore(relay, Reconfigurable(), 3, 9, cfg("q4", 0), counter_cap=0) is None
     run = explore(relay, Reconfigurable(), 3, 9, cfg("q4", 0), counter_cap=2)
     assert run is not None and replay(relay, run)
+
+
+def test_cliques_are_keyed_without_building_their_automorphisms(counting, monkeypatch):
+    # every permutation of a clique is an automorphism, so a state's key is
+    # its sorted labels; all 9! images are never built
+    plain = Graph.automorphisms
+
+    def refuse_complete(self):
+        if len(self.edges) == self.n * (self.n - 1) // 2:
+            raise AssertionError("automorphisms of a complete graph built")
+        return plain(self)
+
+    monkeypatch.setattr(Graph, "automorphisms", refuse_complete)
+    target = VassConfig("s2")
+    run = explore(counting, Clique(), 9, 3, target)
+    assert run is not None
+    assert replay(counting, run)
+    assert any(vass_leq(target, c) for c in run[-1].graph.labels)

@@ -172,25 +172,6 @@ def _empty_shape_stores(monkeypatch):
     return static_cover._EXTENSION_TABLES
 
 
-def test_extension_tables_over_the_cap_are_rebuilt_alike(relay, monkeypatch):
-    from bncover import static_cover
-
-    def decide():
-        """The tables one query keeps, each query starting from an empty store."""
-        tables = _empty_shape_stores(monkeypatch)
-        gspace = GraphSpace(relay, PathBounded(3))
-        return tables, backward_coverability(gspace, single_vertex(cfg("q4", 0)))
-
-    kept_tables, kept = decide()
-    assert max(len(t) for t in kept_tables.values()) > 2
-    monkeypatch.setattr(static_cover, "_MAX_TABLE_ROWS", 2)
-    capped_tables, capped = decide()
-    assert all(len(t) <= 2 for t in capped_tables.values())
-    assert len(capped_tables) < len(kept_tables)
-    assert capped.iterations == kept.iterations
-    assert repr((capped.basis, capped.chain)) == repr((kept.basis, kept.chain))
-
-
 def test_a_second_query_builds_no_shape_work_again(relay, monkeypatch):
     from bncover import static_cover
 
@@ -215,7 +196,7 @@ def test_a_second_query_builds_no_shape_work_again(relay, monkeypatch):
 
     tables = _empty_shape_stores(monkeypatch)
     cold = static_coverable(relay, cfg("q4", 0), PathBounded(3))
-    # one enumeration per (class, shape) pair, none of them over the cap
+    # one enumeration per (class, shape) pair
     assert 0 < len(extended) == len(set(extended)) == len(tables)
     seen = set(extended)
     extended.clear()
@@ -264,6 +245,9 @@ def test_basis_graphs_stay_in_class(relay):
 
 def test_graph_level_compatibility_on_completed_processes():
     # theta1 embedded in theta1' and theta1 steps: theta1' can answer
+    def successors(spec, theta, letter):
+        return [t for v in range(theta.n) for t in bn_step(spec, theta, v, letter)]
+
     rng = random.Random(109)
     probes = 0
     for _ in range(12):
@@ -289,8 +273,8 @@ def test_graph_level_compatibility_on_completed_processes():
         if graph_embeds(small, big, space.label_leq) is None:
             continue
         for letter in spec.alphabet:
-            for succ in space.successors(small, letter):
-                answers = space.successors(big, letter)
+            for succ in successors(spec, small, letter):
+                answers = successors(spec, big, letter)
                 assert any(
                     graph_embeds(succ, t, space.label_leq) is not None for t in answers
                 ), (spec, small, big, letter, succ)
@@ -384,9 +368,10 @@ def test_static_rejects_non_static_classes(relay):
 
 
 def _reference_pre_graphs(spec, cls, theta, letter):
-    """Predecessor graphs built without shortcuts: per-vertex bases looked up
-    for every candidate, and a candidate kept exactly when the plain
-    embedding search finds ``theta`` below one of its successors."""
+    """Predecessor graphs built without shortcuts: ``theta`` placed into
+    each extension by every injection, per-vertex bases looked up for every
+    candidate, and a candidate kept exactly when the plain embedding search
+    finds ``theta`` below one of its successors."""
     import itertools
 
     from bncover import Graph, enumerate_extensions, graph_injections
@@ -455,11 +440,71 @@ def test_pre_graphs_equal_the_plain_embedding_reference():
         gspace = GraphSpace(spec, cls)
         for letter in spec.alphabet:
             got = gspace.pre_graphs(theta, letter)
-            assert repr(got) == repr(_reference_pre_graphs(spec, cls, theta, letter)), (
-                spec, cls, theta, letter)
+            reference = _reference_pre_graphs(spec, cls, theta, letter)
+            # the reference places theta in every way; the identity placements
+            # come in the same order, and each other one is isomorphic to one
+            rest = iter(map(repr, reference))
+            assert all(repr(g) in rest for g in got), (spec, cls, theta, letter)
+            for r in reference:
+                assert any(gspace.leq(r, g) and gspace.leq(g, r) for g in got), (
+                    spec, cls, theta, letter, r)
             emitted += len(got)
         compared += 1
     assert emitted >= 200
+
+
+def test_saturation_matches_the_one_over_every_placement():
+    # building predecessors from every placement of theta only adds
+    # isomorphic copies, so verdicts, round counts and basis sizes agree
+    class EveryPlacementGraphSpace(GraphSpace):
+        def pre_graphs(self, theta, letter):
+            return _reference_pre_graphs(self.spec, self.cls, theta, letter)
+
+    def summary(verdict):
+        return (verdict.coverable, verdict.iterations, len(verdict.basis), verdict.witness_labels)
+
+    rng = random.Random(171)
+    positives = negatives = 0
+    for _ in range(20):
+        spec = random_receive_total(rng)
+        for state in spec.states:
+            target = VassConfig(state, (0,) * spec.dim)
+            if spec.covered_by_initial(target):
+                continue
+            for cls in (PathBounded(2), PathBounded(3), Clique()):
+                seed = single_vertex(target)
+                got = backward_coverability(GraphSpace(spec, cls), seed)
+                want = backward_coverability(EveryPlacementGraphSpace(spec, cls), seed)
+                assert summary(got) == summary(want), (spec, target, cls)
+                if got.coverable:
+                    run = static_witness_run(spec, got, cls)
+                    assert replay(spec, run), (spec, target, cls)
+                    assert any(vass_leq(target, c) for c in run[-1].graph.labels)
+                    positives += 1
+                else:
+                    negatives += 1
+    assert positives >= 20 and negatives >= 20
+
+
+def test_counting_model_under_clique_builds_few_predecessors(counting, monkeypatch):
+    # a clique on n vertices has (n+1)! placements in its one extension;
+    # one predecessor is built per extension instead
+    emitted = []
+    plain = GraphSpace.pre_graphs
+
+    def counting_pre_graphs(self, theta, letter):
+        out = plain(self, theta, letter)
+        emitted.append(len(out))
+        return out
+
+    monkeypatch.setattr(GraphSpace, "pre_graphs", counting_pre_graphs)
+    target = VassConfig("s6")
+    verdict = static_coverable(counting, target, Clique())
+    assert (verdict.coverable, verdict.iterations, len(verdict.basis)) == (True, 7, 8)
+    assert sum(emitted) < 100
+    run = static_witness_run(counting, verdict, Clique())
+    assert replay(counting, run)
+    assert any(vass_leq(target, c) for c in run[-1].graph.labels)
 
 
 def test_counting_prefilter_spares_embedding_searches(relay, monkeypatch):
