@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graphs import (
     Clique,
@@ -29,6 +29,9 @@ from .order import ResourceExhausted
 from .vass import Label
 
 _sort_key = attrgetter("sort_key")
+
+# a search that would record more states than this raises ResourceExhausted
+MAX_STATES = 250_000
 
 
 class SelfLoopError(ValueError):
@@ -162,8 +165,6 @@ def explore(
     depth: int,
     target,
     counter_cap: int = 8,
-    receive_letters: Optional[Iterable[str]] = None,
-    max_states: int = 250_000,
 ) -> Optional[Run]:
     """Breadth-first hunt for a run on exactly ``n_nodes`` vertices whose
     final graph has a vertex covering ``target``.
@@ -177,8 +178,8 @@ def explore(
     broadcaster, which covers every useful edge set.  A fixed class is
     searched shape by shape, with states deduped modulo the shape's
     automorphisms; a class whose vertex cap is below ``n_nodes`` has no
-    shape to search.  ``receive_letters`` optionally restricts which
-    letters may ever be received (pruning only).
+    shape to search.  A search that would record more than
+    :data:`MAX_STATES` states raises :class:`ResourceExhausted`.
     """
     if n_nodes < 1:
         raise ValueError("need at least one node")
@@ -192,15 +193,14 @@ def explore(
         return any(tle(target, c) for c in labels)
 
     def search(roots, successors, key) -> Optional[list]:
-        return _search(roots, successors, key, covers, n_nodes, depth, max_states)
+        return _search(roots, successors, key, covers, n_nodes, depth)
 
     if isinstance(semantics, Reconfigurable):
         letters = [(a, Label.broadcast(a), Label.receive(a)) for a in spec.alphabet]
-        allowed = set(spec.alphabet) if receive_letters is None else set(receive_letters)
         inits = sorted(spec.initial_configs(), key=_sort_key)
         path = search(
             itertools.combinations_with_replacement(inits, n_nodes),
-            lambda ms: _rewirable_steps(spec, ms, letters, allowed, counter_cap),
+            lambda ms: _rewirable_steps(spec, ms, letters, counter_cap),
             lambda ms: ms,
         )
         return None if path is None else _rewirable_run(path)
@@ -237,7 +237,7 @@ def explore(
     return None
 
 
-def _search(roots, successors, key, covers, n, depth, max_states) -> Optional[list]:
+def _search(roots, successors, key, covers, n, depth) -> Optional[list]:
     """Breadth-first search from ``roots`` for a state that ``covers``
     accepts, with states deduped by ``key``; ``successors(state)`` yields
     ``(state, step)`` pairs.
@@ -245,7 +245,7 @@ def _search(roots, successors, key, covers, n, depth, max_states) -> Optional[li
     Returns the path to the first such state, root first, as
     ``(state, step)`` pairs (the root's step is ``None``), or ``None``
     when ``depth`` layers hold none.  Raises :class:`ResourceExhausted`
-    once ``max_states`` states are recorded and another would be.
+    once :data:`MAX_STATES` states are recorded and another would be.
     """
     parents: dict = {}  # key -> (parent key, step, state)
     frontier = []
@@ -265,7 +265,7 @@ def _search(roots, successors, key, covers, n, depth, max_states) -> Optional[li
                 k = key(succ)
                 if k in parents:
                     continue
-                if len(parents) >= max_states:
+                if len(parents) >= MAX_STATES:
                     raise ResourceExhausted(f"state budget hit: {len(parents)} states on {n} nodes")
                 parents[k] = (at, step, succ)
                 if covers(succ):
@@ -286,7 +286,7 @@ def _path(parents: dict, k) -> list:
     return path
 
 
-def _rewirable_steps(spec, ms, letters, allowed, cap):
+def _rewirable_steps(spec, ms, letters, cap):
     """Successor multisets: one node broadcasts, any subset of
     receive-capable others receives (the rest is simply left unlinked).
     ``letters`` holds one ``(letter, !!letter, ??letter)`` triple per letter."""
@@ -303,12 +303,9 @@ def _rewirable_steps(spec, ms, letters, allowed, cap):
                 per_other = []
                 for o in others:
                     opts = [(False, o)]
-                    if a in allowed:
-                        opts.extend(
-                            (True, s)
-                            for s in spec.successors(o, receive)
-                            if s.size <= cap
-                        )
+                    opts.extend(
+                        (True, s) for s in spec.successors(o, receive) if s.size <= cap
+                    )
                     per_other.append(opts)
                 for choice in itertools.product(*per_other):
                     succ = tuple(sorted([emitted] + [c for _, c in choice], key=_sort_key))

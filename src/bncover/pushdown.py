@@ -145,7 +145,7 @@ class PushdownSpec(ProcessSpec):
     def successors(self, config: PdsConfig, label: Label) -> tuple[PdsConfig, ...]:
         """All one-step successors of ``config`` under ``label``, rule order."""
         out = []
-        for r in self.index.by_source_label.get((config.state, label), ()):
+        for r in self.by_source_label.get((config.state, label), ()):
             if r.top == "":
                 out.append(PdsConfig(r.target, r.push + config.stack))
             elif config.stack.startswith(r.top):

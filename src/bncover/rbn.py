@@ -153,23 +153,14 @@ def rbn_witness(
     docstring), with no search; past :data:`WITNESS_NODE_CAP` nodes this
     raises :class:`WitnessExtractionFailed`.  Without a chain (pushdown
     processes carry none), the bounded explorer searches up to
-    ``max_nodes`` nodes and ``max_depth`` broadcasts, pruning receives of
-    letters the trace never unlocked, and raises
+    ``max_nodes`` nodes and ``max_depth`` broadcasts, and raises
     :class:`WitnessExtractionFailed` when it finds nothing.  The positive
     verdict stands either way.
     """
     if chain is not None:
         return _checked(spec, target, _compose(spec, chain, trace.chains))
     for n in range(1, max_nodes + 1):
-        run = explore(
-            spec,
-            Reconfigurable(),
-            n,
-            max_depth,
-            target,
-            counter_cap=counter_cap,
-            receive_letters=trace.final_unlocked,
-        )
+        run = explore(spec, Reconfigurable(), n, max_depth, target, counter_cap=counter_cap)
         if run is not None:
             return _checked(spec, target, run)
     raise WitnessExtractionFailed(

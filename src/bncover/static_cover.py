@@ -31,7 +31,12 @@ Work fixed by a shape and the class alone, whatever the process and the
 target, lives for the process: the extension table of each (class, shape)
 and the diam-deg shapes with their position orbits of each ``(k, d,
 n_max)`` are built by the first query that needs them and read by every
-later one.
+later one.  The per-vertex predecessor bases depend on the process and
+the vertex label alone, so every query over an equal process shares one
+store of them.  Stores are kept for the 64 processes used last, the bound
+:func:`~bncover.rbn.rbn_unlock` keeps its per-process work under: a
+model's queries run back to back, so the bound costs no reuse, and a run
+over many models still holds bounded memory.
 
 Positive verdicts at the graph level are sound when ``spec.receive_total()``
 holds: every state has, for every letter, a receive enabled in every
@@ -43,10 +48,11 @@ receive decrements a counter; the deciders do not check it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Optional, Sequence
 
-from .explore import RunStep, bn_step
+from .explore import Run, bn_step, build_run
 from .graphs import (
     Clique,
     ClassViolation,
@@ -82,11 +88,6 @@ class _Wildcard:
 
 WILDCARD = _Wildcard()
 
-# Process-wide shape-level work (see the module docstring): extension tables
-# by (class, shape), diam-deg shapes with their position orbits by (k, d, n_max).
-_EXTENSION_TABLES: dict = {}
-_DIAM_DEG_SHAPES: dict = {}
-
 
 def _counts_admit(small: LabelledGraph, large: LabelledGraph) -> bool:
     """Whether ``large`` has at least the vertices, the edges and, per control
@@ -115,7 +116,7 @@ class GraphSpace:
         self.spec = spec
         self.cls = cls
         self._config_leq = spec.leq
-        self._pre_cache: dict = {}
+        self._pre_cache = _pre_bases(spec)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -160,22 +161,6 @@ class GraphSpace:
             self._pre_cache[key] = basis
         return basis
 
-    def _extensions(self, shape: Graph) -> tuple[tuple[Graph, tuple[int, ...]], ...]:
-        """Every class-admissible extension of ``shape`` by the fresh vertex
-        ``shape.n``, as ``(extension, neighbors of the fresh vertex)`` in
-        :func:`enumerate_extensions` order.  Fixed by the shape and the
-        class, so kept for the life of the process and shared by every
-        query over the class."""
-        key = (self.cls, shape)
-        table = _EXTENSION_TABLES.get(key)
-        if table is None:
-            # each extension validated afresh, as a graph built from its edge
-            # set would be, so its edges iterate (and print) in that same order
-            exts = (Graph(ext.n, ext.edges) for ext in enumerate_extensions(shape, self.cls))
-            table = tuple((ext, ext.neighbors(shape.n)) for ext in exts)
-            _EXTENSION_TABLES[key] = table
-        return table
-
     def pre_graphs(self, theta: LabelledGraph, letter: str) -> tuple[LabelledGraph, ...]:
         """Unminimized predecessor graphs of the upward closure of ``theta``
         one ``letter`` broadcast back.
@@ -211,7 +196,7 @@ class GraphSpace:
         enabling = self._vertex_pre(WILDCARD, bl)
         if enabling:
             receives = None  # per vertex of theta, built at the first row: DiamDeg has none
-            for ext, nbrs in self._extensions(theta.shape):
+            for ext, nbrs in _extension_table(self.cls, theta.shape):
                 if receives is None:
                     receives = [self._vertex_pre(l, rl) for l in theta.labels]
                 receiver_bases = [receives[u] for u in nbrs]
@@ -224,6 +209,24 @@ class GraphSpace:
                             labels[u] = cu
                         emitted.append(ext.labelled(tuple(labels)))
         return tuple(emitted)
+
+
+@functools.lru_cache(maxsize=64)
+def _pre_bases(spec) -> dict:
+    """The store of per-vertex predecessor bases of ``spec``, by ``(vertex
+    label, process label)``, shared by every query over an equal process."""
+    return {}
+
+
+@functools.cache
+def _extension_table(cls: TopologyClass, shape: Graph) -> tuple[tuple[Graph, tuple[int, ...]], ...]:
+    """Every class-admissible extension of ``shape`` by the fresh vertex
+    ``shape.n``, as ``(extension, neighbors of the fresh vertex)`` in
+    :func:`enumerate_extensions` order, built once per process."""
+    # each extension validated afresh, as a graph built from its edge set
+    # would be, so its edges iterate (and print) in that same order
+    exts = (Graph(ext.n, ext.edges) for ext in enumerate_extensions(shape, cls))
+    return tuple((ext, ext.neighbors(shape.n)) for ext in exts)
 
 
 def static_pre_basis(spec, theta: LabelledGraph, cls: TopologyClass) -> tuple[LabelledGraph, ...]:
@@ -274,17 +277,13 @@ def _position_orbits(shape: Graph) -> tuple[int, ...]:
     return tuple(sorted({min(perm[v] for perm in autos) for v in range(shape.n)}))
 
 
+@functools.cache
 def _diam_deg_shapes(k: int, d: int, n_max: int) -> tuple[tuple[Graph, tuple[int, ...]], ...]:
     """The diam-deg shapes of :func:`enumerate_diam_deg_graphs`, each with its
     position orbits, built once per ``(k, d, n_max)`` for the process."""
-    key = (k, d, n_max)
-    shapes = _DIAM_DEG_SHAPES.get(key)
-    if shapes is None:
-        shapes = tuple(
-            (shape, _position_orbits(shape)) for shape in enumerate_diam_deg_graphs(k, d, n_max)
-        )
-        _DIAM_DEG_SHAPES[key] = shapes
-    return shapes
+    return tuple(
+        (shape, _position_orbits(shape)) for shape in enumerate_diam_deg_graphs(k, d, n_max)
+    )
 
 
 def diam_deg_coverable(
@@ -330,7 +329,7 @@ def diam_deg_coverable(
     )
 
 
-def static_witness_run(spec, verdict: Verdict, cls: TopologyClass) -> tuple[RunStep, ...]:
+def static_witness_run(spec, verdict: Verdict, cls: TopologyClass) -> Run:
     """Concrete network run realizing a positive fixed-topology verdict.
 
     The verdict chain descends from an initially-coverable basis graph to
@@ -350,24 +349,22 @@ def static_witness_run(spec, verdict: Verdict, cls: TopologyClass) -> tuple[RunS
             labels.append(inits[0])
         else:
             labels.append(next(c for c in inits if config_leq(l, c)))
-    current = LabelledGraph(start.n, start.edges, tuple(labels))
-    steps = [RunStep("init", current)]
-    for i in range(len(verdict.chain) - 1):
-        _, letter = verdict.chain[i]
-        nxt = verdict.chain[i + 1][0]
-        found = None
-        for v in range(current.n):
-            for after in bn_step(spec, current, v, letter):
-                if graph_embeds(nxt, after, gspace.label_leq) is not None:
-                    found = (v, after)
-                    break
-            if found:
-                break
+    first = current = LabelledGraph(start.n, start.edges, tuple(labels))
+    events = []
+    for (_, letter), (nxt, _) in zip(verdict.chain, verdict.chain[1:]):
+        found = next(
+            (
+                (v, after)
+                for v in range(current.n)
+                for after in bn_step(spec, current, v, letter)
+                if graph_embeds(nxt, after, gspace.label_leq) is not None
+            ),
+            None,
+        )
         if found is None:
             raise RuntimeError(
                 "chain replay failed; the process is likely not receive-total"
             )
-        v, after = found
-        steps.append(RunStep("broadcast", after, vertex=v, letter=letter))
-        current = after
-    return tuple(steps)
+        v, current = found
+        events.append((v, letter, current.labels, None))
+    return build_run(first, events)

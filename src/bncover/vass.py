@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .order import minimize
 
@@ -99,33 +99,6 @@ class VassTransition:
         return f"{self.source} -{self.label}-> {self.target}"
 
 
-@dataclass(frozen=True)
-class TransitionIndex:
-    """Lookup tables over a spec's active transitions (or pushdown rules).
-
-    ``by_source_label`` maps ``(source state, label)`` and ``by_label``
-    maps a label to the matching transitions, each group in declaration
-    order, so scans over a group visit what a scan over the whole list
-    would, in the same order.  A spec builds its index once, on first use,
-    into its own ``__dict__``; ``dataclasses.replace`` copies get their own.
-    """
-
-    by_source_label: dict
-    by_label: dict
-
-    @classmethod
-    def of(cls, transitions: Iterable) -> "TransitionIndex":
-        by_source_label: dict = {}
-        by_label: dict = {}
-        for t in transitions:
-            by_source_label.setdefault((t.source, t.label), []).append(t)
-            by_label.setdefault(t.label, []).append(t)
-        return cls(
-            {k: tuple(v) for k, v in by_source_label.items()},
-            {k: tuple(v) for k, v in by_label.items()},
-        )
-
-
 class ProcessSpec:
     """The process protocol members both process kinds share.
 
@@ -146,12 +119,29 @@ class ProcessSpec:
     @cached_property
     def labels(self) -> tuple[Label, ...]:
         """Active transition labels in order of first appearance."""
-        return tuple(self.index.by_label)
+        return tuple(self.by_label)
+
+    # Active transitions (or rules) grouped by a key, each group in
+    # declaration order, so a scan over a group visits what a scan over the
+    # whole list would, in the same order.  Built on first use into the
+    # spec's own ``__dict__``: outside equality, hashing and ``repr``, and
+    # ``dataclasses.replace`` copies build their own.
 
     @cached_property
-    def index(self) -> TransitionIndex:
-        """Active transitions by (source, label) and by label, built on first use."""
-        return TransitionIndex.of(self.active_transitions())
+    def by_source_label(self) -> dict:
+        """Active transitions by ``(source state, label)``."""
+        return self._grouped(lambda t: (t.source, t.label))
+
+    @cached_property
+    def by_label(self) -> dict:
+        """Active transitions by label."""
+        return self._grouped(lambda t: t.label)
+
+    def _grouped(self, key) -> dict:
+        out: dict = {}
+        for t in self.active_transitions():
+            out.setdefault(key(t), []).append(t)
+        return {k: tuple(v) for k, v in out.items()}
 
     def active_transitions(self) -> Iterator:
         for t in self.declared:
@@ -164,7 +154,7 @@ class ProcessSpec:
 
     def min_enabling(self, label: Label) -> tuple:
         """Minimal configurations at which some ``label`` transition fires."""
-        out = [self.fires_from(t) for t in self.index.by_label.get(label, ())]
+        out = [self.fires_from(t) for t in self.by_label.get(label, ())]
         return minimize(out, self.leq)
 
     def has_receives(self, letter: str) -> bool:
@@ -272,7 +262,7 @@ def finite_spec(states, initial_states, transitions) -> VassSpec:
 def vass_successors(spec: VassSpec, config: VassConfig, label: Label) -> tuple[VassConfig, ...]:
     """All one-step successors of ``config`` under ``label``, declaration order."""
     out = []
-    for t in spec.index.by_source_label.get((config.state, label), ()):
+    for t in spec.by_source_label.get((config.state, label), ()):
         updated = tuple(u + v for u, v in zip(config.counters, t.delta))
         if all(x >= 0 for x in updated):
             out.append(VassConfig(t.target, updated))
@@ -287,7 +277,7 @@ def vass_pre_basis(spec: VassSpec, label: Label, basis: Sequence[VassConfig]) ->
     firing counters are ``max(u - v, -v, 0)`` componentwise.
     """
     out = []
-    for t in spec.index.by_label.get(label, ()):
+    for t in spec.by_label.get(label, ()):
         for c in basis:
             if c.state != t.target:
                 continue

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -21,6 +22,7 @@ from bncover import (
     vass_leq,
 )
 from bncover.explore import RunStep
+from bncover.order import ResourceExhausted
 
 from conftest import cfg, random_finite
 
@@ -194,6 +196,14 @@ def test_counter_cap_prunes_but_positives_are_exact(relay):
     assert explore(relay, Reconfigurable(), 3, 9, cfg("q4", 0), counter_cap=0) is None
     run = explore(relay, Reconfigurable(), 3, 9, cfg("q4", 0), counter_cap=2)
     assert run is not None and replay(relay, run)
+
+
+def test_the_state_budget_bounds_every_search(relay, monkeypatch):
+    # the package's ``explore`` attribute is the function, not the module
+    monkeypatch.setattr(sys.modules["bncover.explore"], "MAX_STATES", 5)
+    for semantics in (Reconfigurable(), PathBounded(2)):
+        with pytest.raises(ResourceExhausted, match=r"^state budget hit: 5 states on 3 nodes$"):
+            explore(relay, semantics, 3, 9, cfg("q4", 0))
 
 
 def test_cliques_are_keyed_without_building_their_automorphisms(counting, monkeypatch):

@@ -93,12 +93,13 @@ def test_index_is_per_instance_and_outside_identity():
         spec = random_pushdown(rng)
         twin = dataclasses.replace(spec)
         before = (repr(spec), hash(spec))
-        index = spec.index
-        assert spec.index is index  # built once
-        assert spec.labels and spec.alphabet
-        assert (repr(spec), hash(spec)) == before and spec == twin
-        assert twin.index is not index and twin.index == index
-        assert strip_receives(spec).index is not index
+        for table in ("by_source_label", "by_label"):
+            index = getattr(spec, table)
+            assert getattr(spec, table) is index  # built once
+            assert spec.labels and spec.alphabet
+            assert (repr(spec), hash(spec)) == before and spec == twin
+            assert getattr(twin, table) is not index and getattr(twin, table) == index
+            assert getattr(strip_receives(spec), table) is not index
 
 
 def test_initial_is_covered():

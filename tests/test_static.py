@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -162,14 +163,13 @@ def test_broadcast_only_static_equals_plain_coverability():
     assert agreements == 30
 
 
-def _empty_shape_stores(monkeypatch):
-    """Empty the process-wide shape stores for the rest of the test; returns
-    the extension-table store."""
+def _empty_stores():
+    """Empty the process-wide stores: shape work and predecessor bases."""
     from bncover import static_cover
 
-    monkeypatch.setattr(static_cover, "_EXTENSION_TABLES", {})
-    monkeypatch.setattr(static_cover, "_DIAM_DEG_SHAPES", {})
-    return static_cover._EXTENSION_TABLES
+    static_cover._extension_table.cache_clear()
+    static_cover._diam_deg_shapes.cache_clear()
+    static_cover._pre_bases.cache_clear()
 
 
 def test_a_second_query_builds_no_shape_work_again(relay, monkeypatch):
@@ -194,10 +194,11 @@ def test_a_second_query_builds_no_shape_work_again(relay, monkeypatch):
     def decided(verdict):
         return repr((verdict.basis, verdict.chain))
 
-    tables = _empty_shape_stores(monkeypatch)
+    _empty_stores()
     cold = static_coverable(relay, cfg("q4", 0), PathBounded(3))
     # one enumeration per (class, shape) pair
-    assert 0 < len(extended) == len(set(extended)) == len(tables)
+    tables = static_cover._extension_table.cache_info().currsize
+    assert 0 < len(extended) == len(set(extended)) == tables
     seen = set(extended)
     extended.clear()
     warm = static_coverable(relay, cfg("q4", 0), PathBounded(3))
@@ -206,10 +207,10 @@ def test_a_second_query_builds_no_shape_work_again(relay, monkeypatch):
     # another target enumerates only shapes not met before
     warm = static_coverable(relay, cfg("q7", 0), PathBounded(3))
     assert not seen & set(extended)
-    _empty_shape_stores(monkeypatch)
+    _empty_stores()
     assert decided(warm) == decided(static_coverable(relay, cfg("q7", 0), PathBounded(3)))
 
-    _empty_shape_stores(monkeypatch)
+    _empty_stores()
     cold = diam_deg_coverable(relay, cfg("q4", 0), 2, 2, 3)
     assert len(enumerated) == 1
     warm = diam_deg_coverable(relay, cfg("q4", 0), 2, 2, 3)
@@ -217,7 +218,37 @@ def test_a_second_query_builds_no_shape_work_again(relay, monkeypatch):
     assert decided(warm) == decided(cold)
 
 
-def test_verdicts_do_not_depend_on_the_order_of_queries(relay, monkeypatch):
+def test_a_second_query_on_an_equal_process_computes_no_pre_basis_again(relay, monkeypatch):
+    from bncover import vass
+
+    keys: list = []
+    plain = vass.vass_pre_basis
+
+    def counting(spec, label, basis):
+        keys.append((spec, label, tuple(basis)))
+        return plain(spec, label, basis)
+
+    monkeypatch.setattr(vass, "vass_pre_basis", counting)
+
+    def decided(verdict):
+        return repr((verdict.basis, verdict.chain))
+
+    _empty_stores()
+    cold = static_coverable(relay, cfg("q4", 0), PathBounded(3))
+    assert keys
+    seen = set(keys)
+    keys.clear()
+    # an equal but distinct process object, and a target met before and one not
+    twin = dataclasses.replace(relay)
+    assert twin is not relay and twin == relay
+    warm = static_coverable(twin, cfg("q4", 0), PathBounded(3))
+    assert keys == []
+    assert decided(warm) == decided(cold)
+    static_coverable(twin, cfg("q7", 0), PathBounded(3))
+    assert not seen & set(keys)
+
+
+def test_verdicts_do_not_depend_on_the_order_of_queries(relay):
     rng = random.Random(163)
     queries = [(relay, cfg("q4", 0)), (relay, cfg("q7", 0))]
     for _ in range(10):
@@ -227,9 +258,9 @@ def test_verdicts_do_not_depend_on_the_order_of_queries(relay, monkeypatch):
     queries = [(spec, target, cls) for spec, target in queries for cls in classes]
 
     # each pass starts from empty stores and fills them in its own order
-    _empty_shape_stores(monkeypatch)
+    _empty_stores()
     forward = [static_coverable(*q) for q in queries]
-    _empty_shape_stores(monkeypatch)
+    _empty_stores()
     backward = [static_coverable(*q) for q in reversed(queries)]
     assert repr(forward) == repr(backward[::-1])
     assert sum(v.coverable for v in forward) >= 5

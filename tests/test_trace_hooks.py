@@ -1,8 +1,8 @@
 """The benchmark's per-layer counters (``bench/tracing.py``) wrap functions by
 module attribute, so a refactor that calls around a traced name would
-silently zero its counter, and so would a warm shape store.  This runs the
-tracer over both process families, with the graph layer's shape stores
-emptied first, and checks that each counter the process, graph and network
+silently zero its counter, and so would a warm store.  This runs the
+tracer over both process families, with the graph layer's stores emptied
+first, and checks that each counter the process, graph and network
 layers feed moves."""
 
 import sys
@@ -48,9 +48,11 @@ def test_trace_hooks_count_every_process_layer_call(monkeypatch):
 
     before = _originals()
     rbn.rbn_unlock.cache_clear()  # a cached unlocking loop would issue no queries
-    # stored extension tables and diam-deg shapes would not be built again
-    monkeypatch.setattr(static_cover, "_EXTENSION_TABLES", {})
-    monkeypatch.setattr(static_cover, "_DIAM_DEG_SHAPES", {})
+    # stored extension tables, diam-deg shapes and predecessor bases would
+    # not be built again
+    static_cover._extension_table.cache_clear()
+    static_cover._diam_deg_shapes.cache_clear()
+    static_cover._pre_bases.cache_clear()
     relay = (MODELS / "relay.bn").read_text()
     texts = (
         relay + "query cover state=q4 vector=(0) semantics=diam-deg:2,2,3\n"

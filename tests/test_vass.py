@@ -92,15 +92,17 @@ def test_index_is_per_instance_and_outside_identity():
         spec = random_vass(rng)
         twin = dataclasses.replace(spec)
         before = (repr(spec), hash(spec))
-        index = spec.index
-        assert spec.index is index  # built once
-        assert spec.labels and spec.alphabet
-        assert (repr(spec), hash(spec)) == before and spec == twin
-        assert "index" not in repr(spec)
-        assert twin.index is not index and twin.index == index
-        stripped = strip_receives(spec)
-        assert stripped.index is not index
-        assert all(l.is_broadcast for l in stripped.index.by_label)
+        for table in ("by_source_label", "by_label"):
+            index = getattr(spec, table)
+            assert getattr(spec, table) is index  # built once
+            assert spec.labels and spec.alphabet
+            assert (repr(spec), hash(spec)) == before and spec == twin
+            assert table not in repr(spec)
+            assert getattr(twin, table) is not index and getattr(twin, table) == index
+            stripped = strip_receives(spec)
+            assert getattr(stripped, table) is not index
+        assert all(l.is_broadcast for l in stripped.by_label)
+        assert all(l.is_broadcast for _, l in stripped.by_source_label)
 
 
 def test_relay_pre_basis_of_broadcast_d(relay):
