@@ -5,6 +5,7 @@ from .explore import (
     Run,
     RunStep,
     SelfLoopError,
+    WitnessExtractionFailed,
     bn_step,
     explore,
     reconfigure,
@@ -64,7 +65,6 @@ from .rbn import (
     RbnResult,
     SaturationTrace,
     SweepRecord,
-    WitnessExtractionFailed,
     rbn_coverable,
     rbn_witness,
 )

@@ -6,8 +6,12 @@
 
 Exit status: 0 when every query completed, 2 when some query exhausted its
 resource limits (for ``explore``, its state budget: the remaining queries
-still run and the first run found is still written), 1 on input errors
-(and on a failed replay).
+still run and the first run found is still written) or, for ``verify``, got
+the verdict ``unknown``, 1 on input errors (and on a failed replay).
+
+A fixed-topology positive is sound on a receive-total process.  On any
+other process ``verify`` keeps it only when a witness run is built that
+replays and covers the target; otherwise the verdict is ``unknown``.
 """
 
 from __future__ import annotations
@@ -18,17 +22,18 @@ import sys
 import time
 from typing import Optional
 
-from .explore import explore, replay
+from .explore import WitnessExtractionFailed, checked_witness, explore, replay
 from .graphs import Reconfigurable
 from .modelfile import ModelError, ModelFile, Query, parse_model
 from .order import ResourceExhausted, ResourceLimits
-from .rbn import WitnessExtractionFailed, rbn_coverable, rbn_witness
+from .rbn import rbn_coverable, rbn_witness
 from .report import QueryReport, Report, report_to_json, run_from_json, run_to_json
 from .static_cover import static_coverable, static_witness_run
 
 VERDICT_COVERABLE = "coverable"
 VERDICT_NOT = "not-coverable"
 VERDICT_EXHAUSTED = "resource-exhausted"
+VERDICT_UNKNOWN = "unknown"  # a positive that no run backs
 
 
 def _with_caps(limits: ResourceLimits, source) -> ResourceLimits:
@@ -66,14 +71,20 @@ def run_query(
             decided = static_coverable(spec, target, cls, limits)
         verdict = VERDICT_COVERABLE if decided.coverable else VERDICT_NOT
         iterations, basis_size = decided.iterations, len(decided.basis)
-        if want_witness and decided.coverable:
+        # a static positive is sound on a receive-total process; on any
+        # other, only a run that replays and covers the target backs it
+        unbacked = decided.coverable and not rewirable and not spec.receive_total()
+        if decided.coverable and (want_witness or unbacked):
             try:
                 if rewirable:
                     witness = rbn_witness(spec, target, result.trace, chain=decided.chain)
                 else:
-                    witness = static_witness_run(spec, decided, cls)
+                    witness = checked_witness(spec, target, static_witness_run(spec, decided, cls))
             except (WitnessExtractionFailed, ResourceExhausted, RuntimeError):
-                # the verdict is decided; only the construction of a run gave up
+                # a decided verdict stands without a run; an unbacked one does not
+                if unbacked:
+                    verdict = VERDICT_UNKNOWN
+            if not want_witness:
                 witness = None
     except ResourceExhausted as exc:
         verdict = VERDICT_EXHAUSTED
@@ -136,7 +147,7 @@ def _cmd_verify(args) -> int:
         with open(args.report, "w") as fh:
             fh.write(report_to_json(report))
         print(f"report written to {args.report}")
-    if any(r.verdict == VERDICT_EXHAUSTED for r in report.results):
+    if any(r.verdict in (VERDICT_EXHAUSTED, VERDICT_UNKNOWN) for r in report.results):
         return 2
     return 0
 

@@ -138,6 +138,23 @@ def replay(spec, run: Sequence[RunStep]) -> ReplayResult:
     return ReplayResult(True)
 
 
+class WitnessExtractionFailed(Exception):
+    """No run that backs a positive verdict was built."""
+
+
+def checked_witness(spec, target, run: Run) -> Run:
+    """``run``, once it replays and its last graph covers ``target``;
+    otherwise raises :class:`WitnessExtractionFailed` saying which failed."""
+    check = replay(spec, run)
+    if not check:
+        raise WitnessExtractionFailed(
+            f"witness run is invalid at step {check.failed_at}: {check.reason}"
+        )
+    if not any(spec.leq(target, c) for c in run[-1].graph.labels):
+        raise WitnessExtractionFailed("witness run does not cover the target")
+    return run
+
+
 def build_run(start: LabelledGraph, events) -> Run:
     """The run that opens at ``start`` and plays ``events`` in order.
 

@@ -13,8 +13,12 @@ symbols on the process line (``process pushdown stack=AB``), use
 ``pre=<symbol|eps>`` and ``push=<word|eps>`` on transitions, and query
 targets may carry ``stack=<word>``; stack symbols are single characters
 and ``_`` is reserved for the bottom-of-stack marker (allowed at the end
-of a query word only).  Every parse error carries the line and column it
-was found at plus a one-line remedy.
+of a query word only).
+
+Each line is read once, and errors come in file order, each at the line
+and column of its token.  Only the checks that need the whole file wait
+for its end: that it declares a process, an initial state and a query,
+and that each query's state is declared.
 """
 
 from __future__ import annotations
@@ -81,7 +85,14 @@ class ModelFile:
     dead_state: Optional[str] = None
 
 
+# process kind -> (its option keys, what they need, remedy naming them)
+_PROCESS_KINDS = {
+    "finite": ((), "", "finite processes take no options"),
+    "vass": (("dim",), "dim=D", "write e.g. 'process vass dim=1'"),
+    "pushdown": (("stack",), "stack=<symbols>", "write e.g. 'process pushdown stack=AB'"),
+}
 _TOKEN = re.compile(r"\S+")
+_INTEGER = re.compile(r"[+-]?\d+")
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9'_.-]*$")
 _LABEL = re.compile(r"(!!|\?\?)[A-Za-z][A-Za-z0-9_]*$")
 
@@ -91,39 +102,73 @@ def _tokens(raw: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(code)]
 
 
-def _kv(tok: str, col: int, line: int) -> tuple[str, str]:
-    if "=" not in tok:
-        raise ModelSyntaxError(
-            f"expected key=value, got {tok!r}", line, col, "write e.g. delta=(-1)"
-        )
-    key, value = tok.split("=", 1)
-    return key, value
+def _options(
+    toks: list[tuple[str, int]], line: int, what: str, allowed: tuple[str, ...], remedy: str
+) -> dict[str, tuple[str, int]]:
+    """The ``key=value`` tokens of one line as ``{key: (value, col)}``: each
+    key once and in ``allowed``, which ``remedy`` names."""
+    out: dict[str, tuple[str, int]] = {}
+    for tok, col in toks:
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ModelSyntaxError(f"expected key=value, got {tok!r}", line, col, remedy)
+        if key not in allowed:
+            raise ModelSyntaxError(f"unknown {what} {key!r}", line, col, remedy)
+        if key in out:
+            raise ModelSyntaxError(f"duplicate {what} {key!r}", line, col)
+        out[key] = (value, col)
+    return out
 
 
-def _parse_vector(text: str, line: int, col: int) -> tuple[int, ...]:
+def _vector(entry, line, dim, length_of, nonnegative=None) -> tuple[int, ...]:
+    """The integer tuple ``entry`` = ``(text, col)`` holds: ``dim`` entries,
+    none negative when ``nonnegative`` names the kind of vector."""
+    text, col = entry
     if not (text.startswith("(") and text.endswith(")")):
         raise ModelSyntaxError(
             f"expected a parenthesized tuple, got {text!r}", line, col,
             "write e.g. vector=(1,0)"
         )
     body = text[1:-1].strip()
-    if not body:
-        return ()
-    out = []
-    for part in body.split(","):
-        part = part.strip()
-        if not re.fullmatch(r"[+-]?\d+", part):
+    parts = [part.strip() for part in body.split(",")] if body else []
+    for part in parts:
+        if not _INTEGER.fullmatch(part):
             raise ModelSyntaxError(
                 f"{part!r} is not an integer", line, col, "tuple entries are integers"
             )
-        out.append(int(part))
-    return tuple(out)
+    vector = tuple(map(int, parts))
+    if len(vector) != dim:
+        raise DimensionMismatch(
+            f"{length_of} {len(vector)}, expected {dim}", line, col, "match the declared dim"
+        )
+    if nonnegative and any(x < 0 for x in vector):
+        raise ModelSyntaxError(f"{nonnegative} are nonnegative", line, col)
+    return vector
 
 
-def _parse_int(text: str, line: int, col: int, what: str) -> int:
+def _number(entry, line, what) -> int:
+    text, col = entry
     if not re.fullmatch(r"\d+", text):
         raise ModelSyntaxError(f"{what} must be a number, got {text!r}", line, col)
     return int(text)
+
+
+def _stack_word(entry, line, symbols, target=False) -> str:
+    """The word of declared stack symbols ``entry`` = ``(text, col)``
+    spells, "" for ``eps``; a query's ``target`` word may end with the
+    bottom marker."""
+    text, col = entry
+    word = "" if text == "eps" else text
+    core = word[:-1] if target and word.endswith(BOTTOM) else word
+    if target and BOTTOM in core:
+        raise ModelSyntaxError(f"{BOTTOM!r} may only end the stack word", line, col)
+    for ch in core:
+        if ch not in symbols:
+            raise UndeclaredIdentifier(
+                f"stack symbol {ch!r} is not declared", line, col,
+                "declare it on the process line"
+            )
+    return word
 
 
 def parse_model(text: str) -> ModelFile:
@@ -132,25 +177,24 @@ def parse_model(text: str) -> ModelFile:
     process_line = 0
     dim = 0
     stack_symbols: tuple[str, ...] = ()
-    states: list[str] = []
-    inits: list[tuple] = []
-    trans: list[tuple] = []
+    states: dict[str, None] = {}  # in order of first mention
+    initial: dict = {}  # initial entries of the spec, in order, each once
+    steps: list = []  # VassTransition or PdsRule, one per trans line
     dead: Optional[str] = None
-    queries: list[dict] = []
-    last_line = 0
+    queries: list[tuple[Query, int]] = []  # with the column of the query's state
+    lines = text.splitlines()
 
-    def note_state(name: str, line: int, col: int) -> str:
+    def note_state(entry: tuple[str, int], line: int) -> str:
+        name, col = entry
         if not _NAME.match(name):
             raise ModelSyntaxError(
                 f"{name!r} is not a valid state name", line, col,
                 "state names start with a letter"
             )
-        if name not in states:
-            states.append(name)
+        states[name] = None
         return name
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        last_line = lineno
+    for lineno, raw in enumerate(lines, 1):
         toks = _tokens(raw)
         if not toks:
             continue
@@ -174,53 +218,37 @@ def parse_model(text: str) -> ModelFile:
                     "process needs a kind", lineno, headcol,
                     "write 'process vass dim=D', 'process finite' or 'process pushdown stack=...'"
                 )
-            kind = toks[1][0]
+            kind, kind_col = toks[1]
             process_line = lineno
-            rest = toks[2:]
-            if kind == "finite":
-                if rest:
-                    raise ModelSyntaxError(
-                        "finite processes take no options", lineno, rest[0][1]
-                    )
-            elif kind == "vass":
-                if len(rest) != 1:
-                    raise ModelSyntaxError(
-                        "vass processes need dim=D", lineno, headcol,
-                        "write e.g. 'process vass dim=1'"
-                    )
-                key, value = _kv(rest[0][0], rest[0][1], lineno)
-                if key != "dim":
-                    raise ModelSyntaxError(
-                        f"unknown process option {key!r}", lineno, rest[0][1], "expected dim=D"
-                    )
-                dim = _parse_int(value, lineno, rest[0][1], "dim")
-            elif kind == "pushdown":
-                if len(rest) != 1:
-                    raise ModelSyntaxError(
-                        "pushdown processes need stack=<symbols>", lineno, headcol,
-                        "write e.g. 'process pushdown stack=AB'"
-                    )
-                key, value = _kv(rest[0][0], rest[0][1], lineno)
-                if key != "stack":
-                    raise ModelSyntaxError(
-                        f"unknown process option {key!r}", lineno, rest[0][1],
-                        "expected stack=<symbols>"
-                    )
-                symbols = tuple(value.replace(",", ""))
-                if not symbols:
-                    raise ModelSyntaxError(
-                        "the stack alphabet is empty", lineno, rest[0][1],
-                        "list at least one symbol, e.g. stack=A"
-                    )
-                if BOTTOM in symbols:
-                    raise ModelSyntaxError(
-                        f"{BOTTOM!r} is reserved for the bottom marker", lineno, rest[0][1]
-                    )
-                stack_symbols = symbols
-            else:
+            if kind not in _PROCESS_KINDS:
                 raise ModelSyntaxError(
-                    f"unknown process kind {kind!r}", lineno, toks[1][1],
+                    f"unknown process kind {kind!r}", lineno, kind_col,
                     "use finite, vass or pushdown"
+                )
+            keys, needed, remedy = _PROCESS_KINDS[kind]
+            opts = _options(toks[2:], lineno, "process option", keys, remedy)
+            if keys and keys[0] not in opts:
+                raise ModelSyntaxError(
+                    f"{kind} processes need {needed}", lineno, headcol, remedy
+                )
+            if kind == "vass":
+                dim = _number(opts["dim"], lineno, "dim")
+            if kind != "pushdown":
+                continue
+            value, scol = opts["stack"]
+            stack_symbols = tuple(value.replace(",", ""))
+            if not stack_symbols:
+                raise ModelSyntaxError(
+                    "the stack alphabet is empty", lineno, scol,
+                    "list at least one symbol, e.g. stack=A"
+                )
+            if BOTTOM in stack_symbols:
+                raise ModelSyntaxError(
+                    f"{BOTTOM!r} is reserved for the bottom marker", lineno, scol
+                )
+            if len(set(stack_symbols)) != len(stack_symbols):
+                raise ModelSyntaxError(
+                    "duplicate stack symbols", lineno, scol, "list each symbol once"
                 )
             continue
 
@@ -233,30 +261,17 @@ def parse_model(text: str) -> ModelFile:
         if head == "init":
             if len(toks) < 2:
                 raise ModelSyntaxError("init needs a state", lineno, headcol)
-            state = note_state(toks[1][0], lineno, toks[1][1])
-            vector: tuple[int, ...] = (0,) * dim
-            for tok, col in toks[2:]:
-                key, value = _kv(tok, col, lineno)
-                if key != "vector":
-                    raise ModelSyntaxError(
-                        f"unknown init option {key!r}", lineno, col, "expected vector=(n,...)"
-                    )
-                if kind == "pushdown":
-                    raise ModelSyntaxError(
-                        "pushdown initial states take no vector", lineno, col,
-                        "drop the vector option"
-                    )
-                vector = _parse_vector(value, lineno, col)
-                if len(vector) != dim:
-                    raise DimensionMismatch(
-                        f"init {state} has vector of length {len(vector)}, expected {dim}",
-                        lineno, col, "match the declared dim"
-                    )
-                if any(x < 0 for x in vector):
-                    raise ModelSyntaxError(
-                        "initial vectors are nonnegative", lineno, col
-                    )
-            inits.append((state, vector, lineno))
+            state = note_state(toks[1], lineno)
+            opts = _options(toks[2:], lineno, "init option", ("vector",), "expected vector=(n,...)")
+            if opts and kind == "pushdown":
+                raise ModelSyntaxError(
+                    "pushdown initial states take no vector", lineno, opts["vector"][1],
+                    "drop the vector option"
+                )
+            vector = _vector(
+                opts["vector"], lineno, dim, f"init {state} has vector of length", "initial vectors"
+            ) if opts else (0,) * dim
+            initial[state if kind == "pushdown" else (state, vector)] = None
             continue
 
         if head == "trans":
@@ -265,8 +280,8 @@ def parse_model(text: str) -> ModelFile:
                     "malformed transition", lineno, headcol,
                     "write 'trans <src> -> <dst> on (!!|??)<letter> [delta=...|pre=.. push=..]'"
                 )
-            src = note_state(toks[1][0], lineno, toks[1][1])
-            dst = note_state(toks[3][0], lineno, toks[3][1])
+            src = note_state(toks[1], lineno)
+            dst = note_state(toks[3], lineno)
             label_text, label_col = toks[5]
             if not _LABEL.match(label_text):
                 raise ModelSyntaxError(
@@ -274,13 +289,27 @@ def parse_model(text: str) -> ModelFile:
                     "labels look like !!a or ??a"
                 )
             label = Label.parse(label_text)
-            options: dict[str, tuple[str, int]] = {}
-            for tok, col in toks[6:]:
-                key, value = _kv(tok, col, lineno)
-                if key in options:
-                    raise ModelSyntaxError(f"duplicate option {key!r}", lineno, col)
-                options[key] = (value, col)
-            trans.append((src, label, dst, options, lineno, headcol))
+            pushdown = kind == "pushdown"
+            opts = _options(
+                toks[6:], lineno, "transition option", ("pre", "push") if pushdown else ("delta",),
+                "pushdown transitions take pre= and push=" if pushdown
+                else "finite/vass transitions take delta= only"
+            )
+            if pushdown:
+                top = _stack_word(opts.get("pre", ("eps", headcol)), lineno, stack_symbols)
+                if len(top) > 1:
+                    raise ModelSyntaxError(
+                        "pre inspects at most one symbol", lineno, opts["pre"][1],
+                        "use a single stack symbol or eps"
+                    )
+                push = _stack_word(opts.get("push", ("eps", headcol)), lineno, stack_symbols)
+                steps.append(PdsRule(src, label, top, dst, push))
+            else:
+                delta = _vector(
+                    opts["delta"], lineno, dim,
+                    f"transition {src} -> {dst} on {label} has delta of length"
+                ) if "delta" in opts else (0,) * dim
+                steps.append(VassTransition(src, label, delta, dst))
             continue
 
         if head == "option":
@@ -296,17 +325,15 @@ def parse_model(text: str) -> ModelFile:
                 raise ModelSyntaxError(
                     "receive completion applies to finite/vass processes only", lineno, ncol
                 )
-            if len(toks) != 3:
+            if dead is not None:
                 raise ModelSyntaxError(
-                    "complete-receives needs dead=<state>", lineno, ncol
+                    "complete-receives is already set", lineno, ncol,
+                    "keep one complete-receives line"
                 )
-            key, value = _kv(toks[2][0], toks[2][1], lineno)
-            if key != "dead":
-                raise ModelSyntaxError(
-                    f"unknown option argument {key!r}", lineno, toks[2][1],
-                    "expected dead=<state>"
-                )
-            dead = note_state(value, lineno, toks[2][1])
+            opts = _options(toks[2:], lineno, "option argument", ("dead",), "expected dead=<state>")
+            if "dead" not in opts:
+                raise ModelSyntaxError("complete-receives needs dead=<state>", lineno, ncol)
+            dead = note_state(opts["dead"], lineno)
             continue
 
         if head == "query":
@@ -315,13 +342,7 @@ def parse_model(text: str) -> ModelFile:
                     "only 'query cover ...' queries exist", lineno, headcol,
                     "write 'query cover state=<state> semantics=<...>'"
                 )
-            fields: dict[str, tuple[str, int]] = {}
-            for tok, col in toks[2:]:
-                key, value = _kv(tok, col, lineno)
-                if key in fields:
-                    raise ModelSyntaxError(f"duplicate query field {key!r}", lineno, col)
-                fields[key] = (value, col)
-            queries.append({"fields": fields, "line": lineno, "col": headcol})
+            queries.append(_query(toks[2:], lineno, headcol, kind, dim, stack_symbols))
             continue
 
         raise ModelSyntaxError(
@@ -334,90 +355,37 @@ def parse_model(text: str) -> ModelFile:
             "the model declares no process", 1, 1,
             "start with e.g. 'process vass dim=1'"
         )
-    if not inits:
+    if not initial:
         raise ModelSyntaxError(
             "the model declares no initial state", process_line, 1,
             "add an 'init <state>' line"
         )
-
-    spec = _build_spec(kind, dim, stack_symbols, states, inits, trans, dead)
-
     if not queries:
         raise ModelSyntaxError(
-            "the model declares no query", last_line or 1, 1,
+            "the model declares no query", len(lines) or 1, 1,
             "add a 'query cover state=... semantics=...' line"
         )
-    built_queries = tuple(
-        _build_query(q["fields"], q["line"], q["col"], kind, dim, stack_symbols, states)
-        for q in queries
-    )
-    return ModelFile(spec, built_queries, dead)
+    for query, scol in queries:
+        if query.state not in states:
+            raise UndeclaredIdentifier(
+                f"state {query.state!r} is not declared", query.line, scol,
+                "query targets must appear in the process section"
+            )
 
-
-def _build_spec(kind, dim, stack_symbols, states, inits, trans, dead):
     if kind == "pushdown":
-        rules = []
-        for src, label, dst, options, lineno, col in trans:
-            pre_text, pre_col = options.pop("pre", ("eps", col))
-            push_text, push_col = options.pop("push", ("eps", col))
-            if options:
-                bad = next(iter(options))
-                raise ModelSyntaxError(
-                    f"unknown transition option {bad!r}", lineno, options[bad][1],
-                    "pushdown transitions take pre= and push="
-                )
-            top = "" if pre_text == "eps" else pre_text
-            push = "" if push_text == "eps" else push_text
-            if len(top) > 1:
-                raise ModelSyntaxError(
-                    "pre inspects at most one symbol", lineno, pre_col,
-                    "use a single stack symbol or eps"
-                )
-            for sym, scol in ((top, pre_col), (push, push_col)):
-                for ch in sym:
-                    if ch not in stack_symbols:
-                        raise UndeclaredIdentifier(
-                            f"stack symbol {ch!r} is not declared", lineno, scol,
-                            "declare it on the process line"
-                        )
-            rules.append(PdsRule(src, label, top, dst, push))
-        return PushdownSpec(
+        spec = PushdownSpec(
             states=tuple(states),
             stack_alphabet=stack_symbols,
-            initial=tuple(dict.fromkeys(s for s, _, _ in inits)),
-            rules=tuple(rules),
+            initial=tuple(initial),
+            rules=tuple(steps),
         )
-
-    transitions = []
-    for src, label, dst, options, lineno, col in trans:
-        delta_entry = options.pop("delta", None)
-        if options:
-            bad = next(iter(options))
-            raise ModelSyntaxError(
-                f"unknown transition option {bad!r}", lineno, options[bad][1],
-                "finite/vass transitions take delta= only"
-            )
-        if delta_entry is None:
-            delta: tuple[int, ...] = (0,) * dim
-        else:
-            value, dcol = delta_entry
-            delta = _parse_vector(value, lineno, dcol)
-            if len(delta) != dim:
-                raise DimensionMismatch(
-                    f"transition {src} -> {dst} on {label} has delta of length "
-                    f"{len(delta)}, expected {dim}",
-                    lineno, dcol, "match the declared dim"
-                )
-        transitions.append(VassTransition(src, label, delta, dst))
-    spec = VassSpec(
-        states=tuple(states),
-        dim=dim,
-        initial=tuple(dict.fromkeys((s, v) for s, v, _ in inits)),
-        transitions=tuple(transitions),
-    )
-    if dead is not None:
-        spec = complete_receives(spec, dead)
-    return spec
+    else:
+        spec = VassSpec(
+            states=tuple(states), dim=dim, initial=tuple(initial), transitions=tuple(steps)
+        )
+        if dead is not None:
+            spec = complete_receives(spec, dead)
+    return ModelFile(spec, tuple(query for query, _ in queries), dead)
 
 
 # semantics name -> (topology class, number of integer parameters)
@@ -430,7 +398,8 @@ _SEMANTICS = {
 _SEMANTICS_REMEDY = "pick rbn, path-bounded:K, clique or diam-deg:K,D,N"
 
 
-def _parse_semantics(text: str, line: int, col: int) -> TopologyClass:
+def _parse_semantics(entry, line: int) -> TopologyClass:
+    text, col = entry
     name, colon, args = text.partition(":")
     cls, arity = _SEMANTICS.get(name, (None, -1))
     params = args.split(",") if colon else []
@@ -442,71 +411,45 @@ def _parse_semantics(text: str, line: int, col: int) -> TopologyClass:
     return cls(*values)
 
 
-def _build_query(fields, line, col, kind, dim, stack_symbols, states) -> Query:
+_QUERY_FIELDS = ("state", "vector", "stack", "semantics", "max-basis", "max-iters")
+
+
+def _query(toks, line, col, kind, dim, stack_symbols) -> tuple[Query, int]:
+    """The query of one ``query cover`` line, with the column of its state:
+    whether that state is declared, only the whole file tells."""
+    fields = _options(
+        toks, line, "query field", _QUERY_FIELDS, "allowed: " + ", ".join(_QUERY_FIELDS)
+    )
     if "state" not in fields:
         raise ModelSyntaxError("query lacks state=<state>", line, col)
     if "semantics" not in fields:
         raise ModelSyntaxError("query lacks semantics=<...>", line, col, _SEMANTICS_REMEDY)
-    state, scol = fields.pop("state")
-    if state not in states:
-        raise UndeclaredIdentifier(
-            f"state {state!r} is not declared", line, scol,
-            "query targets must appear in the process section"
-        )
-    sem_text, sem_col = fields.pop("semantics")
-    topology = _parse_semantics(sem_text, line, sem_col)
+    state, scol = fields["state"]
+    topology = _parse_semantics(fields["semantics"], line)
     if kind == "pushdown" and not isinstance(topology, Reconfigurable):
         raise ModelSyntaxError(
-            "pushdown processes support semantics=rbn only", line, sem_col,
+            "pushdown processes support semantics=rbn only", line, fields["semantics"][1],
             "fixed-topology semantics need a finite or vass process"
         )
 
     vector = None
     if "vector" in fields:
-        value, vcol = fields.pop("vector")
         if kind == "pushdown":
             raise ModelSyntaxError(
-                "pushdown targets take stack=, not vector=", line, vcol
+                "pushdown targets take stack=, not vector=", line, fields["vector"][1]
             )
-        vector = _parse_vector(value, line, vcol)
-        if len(vector) != dim:
-            raise DimensionMismatch(
-                f"query vector has length {len(vector)}, expected {dim}", line, vcol
-            )
-        if any(x < 0 for x in vector):
-            raise ModelSyntaxError("query vectors are nonnegative", line, vcol)
+        vector = _vector(fields["vector"], line, dim, "query vector has length", "query vectors")
 
     stack = None
     if "stack" in fields:
-        value, kcol = fields.pop("stack")
         if kind != "pushdown":
             raise ModelSyntaxError(
-                "stack= targets need a pushdown process", line, kcol
+                "stack= targets need a pushdown process", line, fields["stack"][1]
             )
-        word = "" if value == "eps" else value
-        core = word[:-1] if word.endswith(BOTTOM) else word
-        if BOTTOM in core:
-            raise ModelSyntaxError(
-                f"{BOTTOM!r} may only end the stack word", line, kcol
-            )
-        for ch in core:
-            if ch not in stack_symbols:
-                raise UndeclaredIdentifier(
-                    f"stack symbol {ch!r} is not declared", line, kcol
-                )
-        stack = word
+        stack = _stack_word(fields["stack"], line, stack_symbols, target=True)
 
-    max_basis = max_iters = None
-    if "max-basis" in fields:
-        value, mcol = fields.pop("max-basis")
-        max_basis = _parse_int(value, line, mcol, "max-basis")
-    if "max-iters" in fields:
-        value, mcol = fields.pop("max-iters")
-        max_iters = _parse_int(value, line, mcol, "max-iters")
-    if fields:
-        bad = next(iter(fields))
-        raise ModelSyntaxError(
-            f"unknown query field {bad!r}", line, fields[bad][1],
-            "allowed: state, vector, stack, semantics, max-basis, max-iters"
-        )
-    return Query(state, vector, stack, topology, max_basis, max_iters, line)
+    max_basis, max_iters = (
+        _number(fields[key], line, key) if key in fields else None
+        for key in ("max-basis", "max-iters")
+    )
+    return Query(state, vector, stack, topology, max_basis, max_iters, line), scol

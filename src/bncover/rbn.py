@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .explore import Run, build_run, explore, replay
+from .explore import Run, WitnessExtractionFailed, build_run, checked_witness, explore
 from .graphs import LabelledGraph, Reconfigurable
 from .order import ResourceLimits, Verdict
 from .process import coverable, coverable_each
@@ -80,10 +80,6 @@ class RbnResult:
     @property
     def coverable(self) -> bool:
         return self.verdict.coverable
-
-
-class WitnessExtractionFailed(Exception):
-    """No witness run found within the given bounds; the verdict stands."""
 
 
 @lru_cache(maxsize=64)
@@ -158,24 +154,14 @@ def rbn_witness(
     verdict stands either way.
     """
     if chain is not None:
-        return _checked(spec, target, _compose(spec, chain, trace.chains))
+        return checked_witness(spec, target, _compose(spec, chain, trace.chains))
     for n in range(1, max_nodes + 1):
         run = explore(spec, Reconfigurable(), n, max_depth, target, counter_cap=counter_cap)
         if run is not None:
-            return _checked(spec, target, run)
+            return checked_witness(spec, target, run)
     raise WitnessExtractionFailed(
         f"no covering run within {max_nodes} nodes and {max_depth} broadcasts"
     )
-
-
-def _checked(spec, target, run: Run) -> Run:
-    check = replay(spec, run)
-    if not check:
-        raise AssertionError(f"witness run is invalid: {check.reason}")
-    tle = spec.leq
-    if not any(tle(target, c) for c in run[-1].graph.labels):
-        raise AssertionError("witness run does not cover the target")
-    return run
 
 
 def _compose(spec, chain: tuple, chains: dict) -> Run:

@@ -103,7 +103,7 @@ class QueryReport:
     vector: Optional[tuple[int, ...]]
     stack: Optional[str]
     semantics: str
-    verdict: str  # "coverable" | "not-coverable" | "resource-exhausted"
+    verdict: str  # "coverable" | "not-coverable" | "resource-exhausted" | "unknown"
     time_s: float
     iterations: Optional[int] = None
     basis_size: Optional[int] = None

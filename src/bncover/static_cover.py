@@ -43,7 +43,9 @@ holds: every state has, for every letter, a receive enabled in every
 configuration of that state.  Without that, a dominating graph may be
 unable to mimic a step of a smaller one because an extra neighbor blocks
 the broadcast.  Receive completion does not establish it when a declared
-receive decrements a counter; the deciders do not check it.
+receive decrements a counter.  The deciders do not check it:
+:func:`bncover.cli.run_query` keeps a positive on a process that fails it
+only when a witness run is built that replays and covers the target.
 """
 
 from __future__ import annotations

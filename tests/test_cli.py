@@ -327,13 +327,31 @@ query cover state=t vector=(0) semantics=clique
 }
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 3: positives on processes that are not receive-total are not gated yet",
-)
 @pytest.mark.parametrize("name", sorted(NOT_RECEIVE_TOTAL))
 def test_no_unbacked_coverable_on_processes_that_are_not_receive_total(name):
     report = run_queries(parse_model(NOT_RECEIVE_TOTAL[name]), name, want_witness=True)
     assert [r.semantics for r in report.results] == ["path-bounded:2", "clique"]
     rows = [(r.semantics, r.verdict, r.witness) for r in report.results]
-    assert all(verdict != "coverable" for _, verdict, _ in rows), rows
+    assert rows == [("path-bounded:2", "unknown", None), ("clique", "unknown", None)]
+
+
+@pytest.mark.parametrize("name", sorted(NOT_RECEIVE_TOTAL))
+def test_verify_answers_unknown_and_exits_2_without_a_witness_too(tmp_path, capsys, name):
+    # the gate builds the run it needs whether or not --witness asks for one
+    model = tmp_path / "model.bn"
+    model.write_text(NOT_RECEIVE_TOTAL[name] + "query cover state=s semantics=clique\n")
+    assert main(["verify", str(model)]) == 2
+    verdicts = [line.split(" -> ")[1].split()[0] for line in capsys.readouterr().out.splitlines()]
+    # s is covered by a one-node run, which backs its positive
+    assert verdicts == ["unknown", "unknown", "coverable"]
+
+
+@pytest.mark.parametrize("stack", ["AA", "A,A"])
+def test_verify_reports_duplicate_stack_symbols_at_their_token(tmp_path, capsys, stack):
+    model = tmp_path / "model.bn"
+    model.write_text(
+        f"process pushdown stack={stack}\ninit p\ntrans p -> p on !!m push=A\n"
+        "query cover state=p semantics=rbn\n"
+    )
+    assert main(["verify", str(model)]) == 1
+    assert f"{model}:line 1, col 18: duplicate stack symbols" in capsys.readouterr().err

@@ -3,12 +3,15 @@ module attribute, so a refactor that calls around a traced name would
 silently zero its counter, and so would a warm store.  This runs the
 tracer over both process families, with the graph layer's stores emptied
 first, and checks that each counter the process, graph and network
-layers feed moves."""
+layers feed moves, and those of the parser and the report writer.  Both
+are called through their module attributes, as ``bench/run.py`` calls
+them, so the tracer sees the calls."""
 
 import sys
 from pathlib import Path
 
-from bncover import cli, parse_model, rbn, static_cover
+import bncover
+from bncover import cli, rbn, report, static_cover
 from bncover.order import ResourceLimits
 
 from conftest import MODELS
@@ -30,6 +33,8 @@ TRACED = (
     ("explore", "explore"),
     ("explore", "replay"),
     ("explore", "bn_step"),
+    ("modelfile", "parse_model"),
+    ("report", "report_to_json"),
 )
 
 
@@ -64,9 +69,12 @@ def test_trace_hooks_count_every_process_layer_call(monkeypatch):
     tracer.install()
     try:
         for text in texts:
-            model = parse_model(text)
-            for i, query in enumerate(model.queries):
+            model = bncover.parse_model(text)
+            results = tuple(
                 cli.run_query(model, query, i, ResourceLimits(), want_witness=True)
+                for i, query in enumerate(model.queries)
+            )
+            report.report_to_json(report.Report("model", results))
     finally:
         tracer.uninstall()
     for m, name in TRACED:
