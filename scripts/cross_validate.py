@@ -9,9 +9,12 @@ bounded forward search, the fixed-topology deciders (path-bounded,
 clique, diam-deg) against forward exploration on 2-3 nodes (2-5 on a
 clique) and against replay of their own witness runs, every rbn positive
 on counter models against replay of the witness composed from its
-unlocking chains, and rbn verdicts and traces on pushdown models, whose
-sweeps each run one batched saturation, against an unlocking loop that
-asks one query at a time.
+unlocking chains, rbn verdicts and traces on pushdown models, whose
+sweeps and final queries each run one batched saturation, against an
+unlocking loop and final queries that ask one query at a time, and every
+``coverable`` that ``bncover verify`` prints for a fixed topology on a
+process that is not receive-total against replay of the witness it
+carries.
 """
 
 import argparse
@@ -25,12 +28,16 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "tests"))
 from bncover import (
     Clique,
     DiamDeg,
+    ModelFile,
     PathBounded,
     PdsConfig,
+    Query,
     Reconfigurable,
+    ResourceLimits,
     VassConfig,
     WitnessExtractionFailed,
     backward_coverability,
+    complete_receives,
     explore,
     pds_coverable,
     rbn_coverable,
@@ -40,6 +47,7 @@ from bncover import (
     static_witness_run,
     vass_leq,
 )
+from bncover.cli import VERDICT_COVERABLE, VERDICT_NOT, run_query
 from bncover.rbn import rbn_unlock
 from conftest import random_finite, random_pushdown, random_receive_total, random_vass
 from oracles import forward_cover, unlock_one_query_at_a_time
@@ -181,8 +189,9 @@ def sweep_rbn_vs_composed_witness(rng, rounds):
 def sweep_rbn_pushdown_batched_vs_per_query(rng, rounds):
     """On pushdown models, the unlocking trace and unlocked process equal
     those of a loop issuing one ``pds_coverable`` call per query, and every
-    rbn verdict equals plain coverability in that unlocked process.
-    Counts one check per trace and one per target."""
+    rbn verdict, asked alone or as part of a batch of the model's targets,
+    equals plain coverability in that unlocked process.  Counts one check
+    per trace and two per target."""
     checks = 0
     for _ in range(rounds):
         spec = random_pushdown(rng, max_states=6, max_rules=20, letters="mnopq")
@@ -190,14 +199,54 @@ def sweep_rbn_pushdown_batched_vs_per_query(rng, rounds):
         trace, unlocked = unlock_one_query_at_a_time(spec)
         assert rbn_unlock(spec) == (trace, unlocked), spec
         checks += 1
-        for state in spec.states:
-            stack = "".join(rng.choice(spec.stack_alphabet) for _ in range(rng.randint(0, 3)))
-            target = PdsConfig(state, stack)
-            result = rbn_coverable(spec, target)
-            assert result.verdict == pds_coverable(unlocked, target), (spec, target)
-            assert result.trace == trace
-            checks += 1
+        targets = tuple(
+            PdsConfig(state, "".join(
+                rng.choice(spec.stack_alphabet) for _ in range(rng.randint(0, 3))
+            ))
+            for state in spec.states
+        )
+        for target in targets:
+            alone = pds_coverable(unlocked, target)
+            for result in (rbn_coverable(spec, target), rbn_coverable(spec, target, batch=targets)):
+                assert result.verdict == alone, (spec, target)
+                assert result.trace == trace
+                checks += 1
     return checks, 0
+
+
+def sweep_unbacked_static_positives(rng, rounds):
+    """On counter models that are not receive-total, whose receives may
+    decrement and need not be complete, every ``coverable`` that
+    ``cli.run_query`` reports under ``path-bounded:2`` or ``clique``
+    carries a witness run that replays and covers the target; ``unknown``
+    is allowed.  Counts one check per positive, and skips the queries
+    answered ``unknown`` or stopped by their limits."""
+    limits = ResourceLimits(max_basis=300, max_iters=12)
+    checked = skipped = 0
+    for i in range(rounds):
+        spec = random_vass(rng, max_states=4, max_dim=2, max_trans=10, letters="ab")
+        if i % 2:
+            spec = complete_receives(spec, "sink")
+        if spec.receive_total:
+            continue
+        queries = tuple(
+            Query(state, (0,) * spec.dim, None, cls, None, None, 0)
+            for state in spec.states
+            for cls in (PathBounded(2), Clique())
+        )
+        model = ModelFile(spec, queries)
+        for index, query in enumerate(queries):
+            row = run_query(model, query, index, limits, want_witness=True)
+            if row.verdict != VERDICT_COVERABLE:
+                skipped += row.verdict != VERDICT_NOT
+                continue
+            target = query.target(spec)
+            assert row.witness is not None, (spec, query)
+            outcome = replay(spec, row.witness)
+            assert outcome, (spec, query, outcome.reason)
+            assert any(vass_leq(target, c) for c in row.witness[-1].graph.labels), (spec, query)
+            checked += 1
+    return checked, skipped
 
 
 def main():
@@ -215,9 +264,10 @@ def main():
         ("fixed-topology vs explore and replay", sweep_static_vs_explore),
         ("rbn positive vs composed witness", sweep_rbn_vs_composed_witness),
         ("rbn pushdown batched vs per-query", sweep_rbn_pushdown_batched_vs_per_query),
+        ("fixed-topology positive vs replay, not receive-total", sweep_unbacked_static_positives),
     ]:
         agreed, skipped = sweep(rng, args.rounds)
-        note = f", {skipped} skipped (bounds hit)" if skipped else ""
+        note = f", {skipped} skipped" if skipped else ""
         print(f"{name}: {agreed} agreements over {args.rounds} rounds{note}")
 
 

@@ -62,7 +62,7 @@ def run_query(
     trace_rows = sweeps = inner = iterations = basis_size = None
     try:
         if rewirable:
-            result = rbn_coverable(spec, target, limits)
+            result = rbn_coverable(spec, target, limits, model.rbn_targets)
             decided = result.verdict
             sweeps = len(result.trace.rounds)
             inner = result.trace.total_queries
@@ -73,7 +73,7 @@ def run_query(
         iterations, basis_size = decided.iterations, len(decided.basis)
         # a static positive is sound on a receive-total process; on any
         # other, only a run that replays and covers the target backs it
-        unbacked = decided.coverable and not rewirable and not spec.receive_total()
+        unbacked = decided.coverable and not rewirable and not spec.receive_total
         if decided.coverable and (want_witness or unbacked):
             try:
                 if rewirable:
@@ -113,7 +113,11 @@ def run_queries(
     defaults: Optional[ResourceLimits] = None,
     want_witness: bool = False,
 ) -> Report:
-    """One verdict per query, in declaration order."""
+    """One verdict per query, in declaration order.
+
+    The model's ``rbn`` queries share their process's unlocking loop and,
+    on pushdown processes, one saturation for all their final queries;
+    the first query to need either carries its cost in ``time_s``."""
     defaults = defaults or ResourceLimits()
     results = tuple(
         run_query(model, query, i, defaults, want_witness)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .graphs import Clique, DiamDeg, PathBounded, Reconfigurable, TopologyClass
@@ -83,6 +84,14 @@ class ModelFile:
     process: object  # VassSpec | PushdownSpec
     queries: tuple[Query, ...]
     dead_state: Optional[str] = None
+
+    @cached_property
+    def rbn_targets(self) -> tuple:
+        """The targets of the ``rbn`` queries in order, built once per
+        model: the rbn decider answers their final queries as one batch."""
+        return tuple(
+            q.target(self.process) for q in self.queries if isinstance(q.topology, Reconfigurable)
+        )
 
 
 # process kind -> (its option keys, what they need, remedy naming them)

@@ -1,9 +1,10 @@
 """Coverability in the plain process transition system.
 
 Each process model carries the protocol the network-level drivers use as
-its own methods (``leq``, ``initial_configs``, ``covered_by_initial``,
-``successors``, ``min_enabling``, ``has_receives`` and ``receive_total``;
-see :class:`~bncover.vass.VassSpec` and
+its own members (the methods ``leq``, ``initial_configs``,
+``covered_by_initial``, ``successors``, ``min_enabling`` and
+``has_receives``, and the property ``receive_total``; see
+:class:`~bncover.vass.VassSpec` and
 :class:`~bncover.pushdown.PushdownSpec`, and their shared base
 :class:`~bncover.vass.ProcessSpec`).  Only the coverability engine
 differs between them: :func:`coverable` picks it for one target, and

@@ -6,13 +6,16 @@ two agents can then be linked on demand.  The decision procedure exploits
 this: starting from the process with every receive disabled, it sweeps the
 alphabet, unlocking the receives of each letter whose minimal broadcast
 enabling configurations become coverable, until a sweep unlocks nothing
-new; the final query runs against the accumulated process.  Each sweep's
-queries run against the process as it stood when the sweep began, so for
-pushdown processes one pre* saturation answers all of them
+new; the final queries run against the accumulated process.  Each
+sweep's queries run against the process as it stood when the sweep began,
+so for pushdown processes one pre* saturation answers all of them
 (:func:`~bncover.process.coverable_each`); counter processes still run
 them one at a time.  The loop never looks at the target, so it runs once
 per process (:func:`rbn_unlock`) and every query on that process reuses
-it.
+it.  A caller that knows every target it will ask about on a process
+passes them as a batch, and their final queries are answered the same
+way: one saturation on pushdown processes, one per target, when it is
+asked, on counter processes.
 
 The same argument builds witness runs (:func:`rbn_witness`): a node
 follows the final query's chain, and each receive ``??a`` on it is served
@@ -30,7 +33,7 @@ from typing import Optional
 from .explore import Run, WitnessExtractionFailed, build_run, checked_witness, explore
 from .graphs import LabelledGraph, Reconfigurable
 from .order import ResourceLimits, Verdict
-from .process import coverable, coverable_each
+from .process import coverable_each
 from .vass import Label, add_receives, strip_receives
 
 # composed witness runs stop here: helpers can multiply at every unlocking level
@@ -126,11 +129,27 @@ def rbn_unlock(spec, limits: Optional[ResourceLimits] = None) -> tuple[Saturatio
     return SaturationTrace(tuple(sweeps), frozenset(unlocked_all), chains), current
 
 
-def rbn_coverable(spec, target, limits: Optional[ResourceLimits] = None) -> RbnResult:
-    """Decide whether, in some rewirable network of ``spec`` processes, a
-    node can reach a configuration dominating ``target``."""
+@lru_cache(maxsize=64)
+def _final(spec, targets: tuple, limits: Optional[ResourceLimits]):
+    """The unlocking trace of ``spec`` and a lookup answering the final
+    query of each of ``targets`` against its unlocked process, memoized
+    like :func:`rbn_unlock`."""
     trace, unlocked = rbn_unlock(spec, limits)
-    return RbnResult(coverable(unlocked, target, limits), trace)
+    return trace, coverable_each(unlocked, targets, limits)
+
+
+def rbn_coverable(
+    spec, target, limits: Optional[ResourceLimits] = None, batch: tuple = ()
+) -> RbnResult:
+    """Decide whether, in some rewirable network of ``spec`` processes, a
+    node can reach a configuration dominating ``target``.
+
+    ``batch``, when given, holds ``target`` and every other target the
+    caller will ask about on ``spec`` under ``limits``: the first call
+    answers the final queries of all of them (see the module docstring),
+    and later calls with an equal batch look their answer up."""
+    trace, ask = _final(spec, batch or (target,), limits)
+    return RbnResult(ask(target), trace)
 
 
 def rbn_witness(

@@ -38,7 +38,7 @@ store of them.  Stores are kept for the 64 processes used last, the bound
 model's queries run back to back, so the bound costs no reuse, and a run
 over many models still holds bounded memory.
 
-Positive verdicts at the graph level are sound when ``spec.receive_total()``
+Positive verdicts at the graph level are sound when ``spec.receive_total``
 holds: every state has, for every letter, a receive enabled in every
 configuration of that state.  Without that, a dominating graph may be
 unable to mimic a step of a smaller one because an extra neighbor blocks

@@ -161,10 +161,12 @@ class ProcessSpec:
         """Whether the model declares any receive transition for ``letter``."""
         return any(not t.label.is_broadcast and t.label.letter == letter for t in self.declared)
 
+    @cached_property
     def receive_total(self) -> bool:
         """Whether every state has, for every letter, an active receive
         enabled in every configuration of that state.  Receives that
-        ``strip_receives`` switched off do not count."""
+        ``strip_receives`` switched off do not count.  Computed once per
+        spec, like the groups above."""
         have = {
             (t.source, t.label.letter)
             for t in self.active_transitions()

@@ -59,6 +59,15 @@ def cfg(state, *counters):
     return VassConfig(state, tuple(counters))
 
 
+def forget_rbn():
+    """Empty the rbn memos, so the next rbn query runs its unlocking loop
+    and its final queries again."""
+    from bncover import rbn
+
+    rbn.rbn_unlock.cache_clear()
+    rbn._final.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # random model generators (seeded, deterministic)
 

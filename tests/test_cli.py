@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +8,19 @@ from pathlib import Path
 import pytest
 
 from bncover import (
-    Report,
+    Clique,
+    ModelFile,
+    PathBounded,
+    PushdownSpec,
+    Query,
     QueryReport,
+    Reconfigurable,
+    Report,
+    cli,
+    complete_receives,
     parse_model,
+    process,
+    pushdown,
     replay,
     report_from_json,
     report_to_json,
@@ -17,11 +28,11 @@ from bncover import (
     run_queries,
     run_to_json,
 )
-from bncover import cli
 from bncover.cli import main
 from bncover.order import ResourceExhausted, ResourceLimits
+from bncover.rbn import rbn_unlock
 
-from conftest import MODELS
+from conftest import MODELS, forget_rbn, random_pushdown, random_vass
 
 
 def test_run_queries_on_relay(relay_model):
@@ -355,3 +366,102 @@ def test_verify_reports_duplicate_stack_symbols_at_their_token(tmp_path, capsys,
     )
     assert main(["verify", str(model)]) == 1
     assert f"{model}:line 1, col 18: duplicate stack symbols" in capsys.readouterr().err
+
+
+# -- a model's rbn queries answered together -----------------------------------
+
+
+def _handshake_with(*queries: str):
+    text = (MODELS / "handshake_pushdown.bn").read_text()
+    return parse_model(text + "".join(f"query cover {q}\n" for q in queries))
+
+
+def test_final_rbn_queries_of_a_pushdown_model_share_one_saturation(monkeypatch):
+    model = _handshake_with(
+        "state=idle semantics=rbn", "state=done stack=A semantics=rbn",
+        "state=idle stack=AA semantics=rbn",
+    )
+    forget_rbn()
+    # the sweeps' saturations run here, before counting
+    rbn_unlock(model.process, ResourceLimits())
+    calls = []
+    plain = pushdown.pds_saturate
+
+    def counting(spec, targets):
+        calls.append(tuple(targets))
+        return plain(spec, targets)
+
+    monkeypatch.setattr(pushdown, "pds_saturate", counting)
+    monkeypatch.setattr(process, "pds_saturate", counting)
+    report = run_queries(model, "handshake")
+    assert [r.verdict for r in report.results] == [
+        "coverable", "not-coverable", "coverable", "coverable", "coverable"
+    ]
+    assert calls == [tuple(q.target(model.process) for q in model.queries)]
+
+
+def _rows(results) -> list:
+    """Each result's fields but its index and time."""
+    skip = ("index", "time_s")
+    return [
+        {f.name: getattr(r, f.name) for f in dataclasses.fields(r) if f.name not in skip}
+        for r in results
+    ]
+
+
+def _random_queries(rng, spec, semantics) -> tuple:
+    queries = []
+    for line in range(rng.randint(2, 6)):
+        state = rng.choice(spec.states)
+        if isinstance(spec, PushdownSpec):
+            vector = None
+            stack = "".join(rng.choice(spec.stack_alphabet) for _ in range(rng.randint(0, 2)))
+        else:
+            vector, stack = tuple(rng.choice((0, 1)) for _ in range(spec.dim)), None
+        queries.append(Query(
+            state, vector, stack, rng.choice(semantics),
+            rng.choice((None, None, 2, 30)), rng.choice((None, None, 1, 3)), line + 1,
+        ))
+    return tuple(queries)
+
+
+def _random_models():
+    yield _handshake_with(
+        "state=done stack=A semantics=rbn max-iters=2", "state=idle semantics=rbn max-basis=1"
+    )
+    rng = random.Random(97)
+    for _ in range(20):
+        spec = random_pushdown(rng, max_states=4, max_rules=10, letters="mno")
+        yield ModelFile(spec, _random_queries(rng, spec, (Reconfigurable(),)))
+    for i in range(20):
+        spec = random_vass(rng, max_states=4, max_dim=2, max_trans=10, letters="abc")
+        if i % 2:
+            spec = complete_receives(spec, "sink")
+        yield ModelFile(spec, _random_queries(rng, spec, (Reconfigurable(), PathBounded(2), Clique())))
+
+
+def test_batched_rbn_queries_report_what_cold_queries_report():
+    defaults = ResourceLimits(max_basis=200, max_iters=8)
+    for model in _random_models():
+        cold = []
+        for i, query in enumerate(model.queries):
+            forget_rbn()
+            cold.append(cli.run_query(model, query, i, defaults, want_witness=True))
+        forget_rbn()
+        backwards = dataclasses.replace(model, queries=model.queries[::-1])
+        report = run_queries(backwards, "random", defaults, want_witness=True)
+        assert _rows(report.results[::-1]) == _rows(cold), model
+
+
+def test_an_exhausting_counter_query_reports_only_itself():
+    # under max-iters=3 the unlocking loop finishes and q4(0) and q1(0) are
+    # decided, but q5(0) needs a fourth round
+    lines = [
+        line for line in (MODELS / "relay.bn").read_text().splitlines()
+        if not line.startswith("query")
+    ] + [f"query cover state={s} vector=(0) semantics=rbn max-iters=3" for s in ("q4", "q5", "q1")]
+    forget_rbn()
+    report = run_queries(parse_model("\n".join(lines) + "\n"), "relay")
+    assert [r.verdict for r in report.results] == ["coverable", "resource-exhausted", "coverable"]
+    assert report.results[1].sweeps is None
+    assert all(r.sweeps is not None for r in report.results[::2])

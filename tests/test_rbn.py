@@ -24,7 +24,7 @@ from bncover import process, rbn
 from bncover.graphs import Reconfigurable
 from bncover.rbn import WITNESS_NODE_CAP, rbn_unlock
 
-from conftest import MODELS, cfg, random_finite, random_pushdown, random_vass
+from conftest import MODELS, cfg, forget_rbn, random_finite, random_pushdown, random_vass
 from oracles import unlock_one_query_at_a_time
 
 
@@ -167,17 +167,16 @@ def test_explore_confirms_rbn_positives_small_scale(relay):
 
 
 def test_second_query_on_an_equal_process_reuses_the_unlocking(relay_model, monkeypatch):
-    rbn_unlock.cache_clear()
+    forget_rbn()
     calls = []
-    plain = rbn.coverable
+    plain = process.coverable
 
     def counting(spec, target, limits=None):
         calls.append(target)
         return plain(spec, target, limits)
 
-    # the final query calls rbn.coverable, the unlocking loop's counter-model
-    # queries process.coverable
-    monkeypatch.setattr(rbn, "coverable", counting)
+    # on counter models both the unlocking loop's queries and the final
+    # query reach process.coverable through coverable_each
     monkeypatch.setattr(process, "coverable", counting)
     first = rbn_coverable(relay_model.process, cfg("q4", 0))
     assert len(calls) == first.trace.total_queries + 1
@@ -214,16 +213,16 @@ def test_memoized_results_equal_cold_results():
                            tuple(rng.choice((0, 1)) for _ in range(spec.dim)))
                 for _ in range(3)
             ]
-        rbn_unlock.cache_clear()
+        forget_rbn()
         warm = [rbn_coverable(spec, t) for t in targets]
         assert rbn_unlock.cache_info().misses == 1
         for target, result in zip(targets, warm):
-            rbn_unlock.cache_clear()
+            forget_rbn()
             assert rbn_coverable(spec, target) == result, (spec, target)
 
 
 def test_limits_are_part_of_the_memo_key(relay):
-    rbn_unlock.cache_clear()
+    forget_rbn()
     for _ in range(2):
         with pytest.raises(ResourceExhausted):
             rbn_coverable(relay, cfg("q4", 0), ResourceLimits(max_basis=1))
@@ -361,19 +360,18 @@ def assert_witnesses(model, report) -> int:
 def test_former_bench_failures_get_composed_witnesses(monkeypatch):
     monkeypatch.setattr(rbn, "explore", _refuse_search)
     calls = []
-    plain = rbn.coverable
+    plain = process.coverable
 
     def counting(spec, target, limits=None):
         calls.append(target)
         return plain(spec, target, limits)
 
-    # the final query calls rbn.coverable, the unlocking loop's counter-model
-    # queries process.coverable
-    monkeypatch.setattr(rbn, "coverable", counting)
+    # on counter models both the unlocking loop's queries and the final
+    # query reach process.coverable through coverable_each
     monkeypatch.setattr(process, "coverable", counting)
     for text in (VASS7, VASS41):
         model = parse_model(text)
-        rbn_unlock.cache_clear()
+        forget_rbn()
         calls.clear()
         report = run_queries(model, "bench", want_witness=True)
         assert assert_witnesses(model, report) == 1

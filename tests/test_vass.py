@@ -228,17 +228,17 @@ trans s -> s on ??c delta=(-1)
 option complete-receives dead=d
 query cover state=t vector=(0) semantics=clique
 """).process
-    assert not decrementing.receive_total()
+    assert not decrementing.receive_total
     rng = random.Random(59)
     total = [random_receive_total(rng) for _ in range(30)]
-    assert all(spec.receive_total() for spec in total)
+    assert all(spec.receive_total for spec in total)
     # receives switched off by rbn unlocking do not count, until re-enabled
     for spec in total:
         stripped = strip_receives(spec)
         for letter in spec.alphabet:
-            assert stripped.receive_total() is False
+            assert stripped.receive_total is False
             stripped = add_receives(stripped, letter)
-        assert stripped.receive_total()
+        assert stripped.receive_total
 
     def pushdown(top):
         return PushdownSpec(("p",), ("A",), ("p",), (
@@ -246,10 +246,28 @@ query cover state=t vector=(0) semantics=clique
             PdsRule("p", Label.receive("m"), top, "p", ""),
         ))
 
-    assert pushdown("").receive_total()
-    assert not pushdown("A").receive_total()
-    assert not strip_receives(pushdown("")).receive_total()
-    assert add_receives(strip_receives(pushdown("")), "m").receive_total()
+    assert pushdown("").receive_total
+    assert not pushdown("A").receive_total
+    assert not strip_receives(pushdown("")).receive_total
+    assert add_receives(strip_receives(pushdown("")), "m").receive_total
+
+    # computed on first read and kept in the spec, outside equality,
+    # hashing and repr; the copies strip_receives and add_receives make
+    # compute their own
+    for spec in (total[0], pushdown("")):
+        fresh = dataclasses.replace(spec)
+        text = repr(fresh)
+        assert "receive_total" not in vars(fresh)
+        assert fresh.receive_total is True
+        assert vars(fresh)["receive_total"] is True
+        assert fresh == spec and hash(fresh) == hash(spec) and repr(fresh) == text
+        stripped = strip_receives(fresh)
+        assert "receive_total" not in vars(stripped)
+        assert stripped.receive_total is False
+        for letter in stripped.alphabet:
+            stripped = add_receives(stripped, letter)
+        assert "receive_total" not in vars(stripped)
+        assert stripped.receive_total is True
 
 
 def test_completion_preserves_explicit_receives(relay_raw):
