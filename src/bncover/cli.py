@@ -27,7 +27,7 @@ from .graphs import Reconfigurable
 from .modelfile import ModelError, ModelFile, Query, parse_model
 from .order import ResourceExhausted, ResourceLimits
 from .rbn import rbn_coverable, rbn_witness
-from .report import QueryReport, Report, report_to_json, run_from_json, run_to_json
+from .report import QueryReport, Report, json_text, report_to_json, run_from_json, run_to_json
 from .static_cover import static_coverable, static_witness_run
 
 VERDICT_COVERABLE = "coverable"
@@ -194,7 +194,7 @@ def _cmd_explore(args) -> int:
                 found = run
     if found is not None and args.witness:
         with open(args.witness, "w") as fh:
-            json.dump(run_to_json(found), fh, indent=2)
+            fh.write(json_text(run_to_json(found), "steps"))
         print(f"witness written to {args.witness}")
     return status
 

@@ -93,6 +93,8 @@ class PushdownSpec(ProcessSpec):
     rules: tuple[PdsRule, ...]
     active_receives: Optional[frozenset[str]] = None
 
+    __hash__ = ProcessSpec.__hash__
+
     def __post_init__(self):
         if len(set(self.states)) != len(self.states):
             raise ValueError("duplicate states")

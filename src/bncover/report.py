@@ -5,6 +5,12 @@ readers reject unknown versions and unknown fields, so the schemas stay
 stable.  A witness run serializes each step with the graph it reaches;
 configurations carry either counters or a stack, which is how the reader
 tells the two process families apart.
+
+Both are written by :func:`json_text`: the header fields on the first line,
+then one query record (or witness step) per line, unindented, so the C JSON
+encoder writes them (any ``indent`` selects the pure-Python one) and a text
+diff of two files still lines up record by record.  Readers parse the JSON,
+so files written with indentation read the same.
 """
 
 from __future__ import annotations
@@ -144,11 +150,20 @@ def _coded(name: str, value, decode: bool):
     return value if value is None or codec is None else codec[decode](value)
 
 
+def json_text(payload: dict, listed: str) -> str:
+    """``payload`` as JSON text: its fields up to ``listed``, which must be
+    its last one, on the first line, then each element of that list on a
+    line of its own, and the closing brackets on the last."""
+    opening = json.dumps({**payload, listed: []})[:-2]
+    rows = ",\n".join(map(json.dumps, payload[listed]))
+    return "\n".join([opening, rows, "]}"] if rows else [opening, "]}"]) + "\n"
+
+
 def report_to_json(report: Report) -> str:
     names = [f.name for f in fields(QueryReport)]
     results = [{n: _coded(n, getattr(r, n), decode=False) for n in names} for r in report.results]
     payload = {"format": REPORT_FORMAT, "model": report.model, "results": results}
-    return json.dumps(payload, indent=2)
+    return json_text(payload, "results")
 
 
 def report_from_json(text: str) -> Report:

@@ -111,6 +111,22 @@ class ProcessSpec:
     a set enables exactly those letters (broadcasts are always enabled).
     """
 
+    # Memos keyed by a spec hash it on every lookup, so each spec computes
+    # its hash once, over every field as the dataclass would; copies compute
+    # their own.  ``dataclass(frozen=True)`` replaces an inherited
+    # ``__hash__``, so each subclass names this one in its own body.  A
+    # pickle leaves the hash behind: string hashes differ between processes.
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(tuple(getattr(self, f.name) for f in dataclasses.fields(self)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
+
     @cached_property
     def alphabet(self) -> tuple[str, ...]:
         """Letters in order of first appearance among declared transitions."""
@@ -190,6 +206,8 @@ class VassSpec(ProcessSpec):
     initial: tuple[tuple[str, tuple[int, ...]], ...]
     transitions: tuple[VassTransition, ...]
     active_receives: Optional[frozenset[str]] = None
+
+    __hash__ = ProcessSpec.__hash__
 
     def __post_init__(self):
         seen = set()

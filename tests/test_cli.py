@@ -96,6 +96,15 @@ def test_report_round_trips(relay_model):
     text = report_to_json(report)
     assert report_from_json(text) == report
     assert json.loads(text)["format"] == "bncover-report/1"
+    # the header, one line per query record, the closing brackets
+    records = json.loads(text)["results"]
+    lines = text.splitlines()
+    assert len(lines) == len(report.results) + 2 and text.endswith("\n]}\n")
+    assert [json.loads(line.removesuffix(",")) for line in lines[1:-1]] == records
+    # files written with indentation read the same
+    assert report_from_json(json.dumps(json.loads(text), indent=2)) == report
+    empty = Report("empty", ())
+    assert report_to_json(empty).count("\n") == 2 and report_from_json(report_to_json(empty)) == empty
 
 
 def test_report_rejects_unknown_fields(relay_model):
@@ -149,6 +158,12 @@ def test_cli_explore_replay_round_trip(tmp_path, capsys):
     assert main(["replay", str(MODELS / "relay.bn"), "--witness", str(witness)]) == 0
     out = capsys.readouterr().out
     assert "replays cleanly" in out
+    # one step per line; a witness written with indentation replays too
+    text = witness.read_text()
+    steps = json.loads(text)["steps"]
+    assert [json.loads(line.removesuffix(",")) for line in text.splitlines()[1:-1]] == steps
+    witness.write_text(json.dumps(json.loads(text), indent=2))
+    assert main(["replay", str(MODELS / "relay.bn"), "--witness", str(witness)]) == 0
 
     # corrupt one label and the replay must fail
     data = json.loads(witness.read_text())
@@ -221,15 +236,20 @@ def test_diff_reports_ignores_times_and_names_each_difference(relay_model, tmp_p
     report = run_queries(relay_model, "relay", want_witness=True)
     slower = Report(report.model, tuple(dataclasses.replace(r, time_s=r.time_s + 1) for r in report.results))
     changed = Report(report.model, (dataclasses.replace(report.results[0], iterations=-1),) + report.results[1:])
-    for side, rep in (("a", report), ("b", slower), ("c", changed)):
+    indented = json.dumps(json.loads(report_to_json(report)), indent=2)
+    for side, text in (("a", report_to_json(report)), ("b", report_to_json(slower)),
+                       ("c", report_to_json(changed)), ("indented", indented)):
         (tmp_path / side / "reports").mkdir(parents=True)
-        (tmp_path / side / "reports" / "relay.json").write_text(report_to_json(rep))
+        (tmp_path / side / "reports" / "relay.json").write_text(text)
 
     def diff(a, b):
         return subprocess.run([sys.executable, str(script), str(tmp_path / a), str(tmp_path / b)],
                               capture_output=True, text=True)
 
     same = diff("a", "b")
+    assert same.returncode == 0 and "1 report pairs compared, identical" in same.stdout
+    # the layout of the file plays no part
+    same = diff("indented", "a")
     assert same.returncode == 0 and "1 report pairs compared, identical" in same.stdout
     differs = diff("a", "c")
     assert differs.returncode == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from bncover import (
 )
 from bncover.vass import VassTransition
 
-from conftest import cfg, random_vass
+from conftest import MODELS, cfg, random_vass
 
 
 def test_relay_broadcast_a_successor(relay):
@@ -268,6 +269,46 @@ query cover state=t vector=(0) semantics=clique
             stripped = add_receives(stripped, letter)
         assert "receive_total" not in vars(stripped)
         assert stripped.receive_total is True
+
+
+@pytest.mark.parametrize("name", ["relay.bn", "handshake_pushdown.bn"])
+def test_a_spec_hashes_its_fields_once(name, monkeypatch):
+    from bncover import parse_model
+    from bncover.rbn import rbn_unlock
+    from bncover.vass import ProcessSpec
+
+    calls = []
+    plain = dataclasses.fields
+
+    def counting(obj):
+        calls.append(obj)
+        return plain(obj)
+
+    def field_hash(spec):
+        return hash(tuple(getattr(spec, f.name) for f in plain(spec)))
+
+    def parsed():
+        return parse_model((MODELS / name).read_text()).process
+
+    spec, again = parsed(), parsed()
+    # dataclass(frozen=True) would replace an inherited __hash__
+    assert type(spec).__hash__ is ProcessSpec.__hash__
+    monkeypatch.setattr(dataclasses, "fields", counting)
+    assert [hash(spec) for _ in range(3)] == [field_hash(spec)] * 3
+    assert calls == [spec]
+    # an equal spec built afresh computes its own, equal hash, and hits
+    # the memos keyed by the first
+    assert again == spec and hash(again) == hash(spec) and calls == [spec, again]
+    rbn_unlock.cache_clear()
+    rbn_unlock(spec)
+    rbn_unlock(again)
+    assert rbn_unlock.cache_info().hits == 1
+    # copies compute their own; a pickle leaves the hash behind
+    stripped = strip_receives(spec)
+    assert "_hash" not in vars(stripped)
+    assert hash(stripped) == field_hash(stripped) != hash(spec)
+    thawed = pickle.loads(pickle.dumps(spec))
+    assert "_hash" not in vars(thawed) and thawed == spec and hash(thawed) == hash(spec)
 
 
 def test_completion_preserves_explicit_receives(relay_raw):
