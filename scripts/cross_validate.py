@@ -11,10 +11,12 @@ clique) and against replay of their own witness runs, every rbn positive
 on counter models against replay of the witness composed from its
 unlocking chains, rbn verdicts and traces on pushdown models, whose
 sweeps and final queries each run one batched saturation, against an
-unlocking loop and final queries that ask one query at a time, and every
+unlocking loop and final queries that ask one query at a time, every
 ``coverable`` that ``bncover verify`` prints for a fixed topology on a
 process that is not receive-total against replay of the witness it
-carries.
+carries, and the fixed-topology saturation, which builds no predecessor
+graph its parent embeds into by the identity, against one that keeps
+every graph of the construction.
 """
 
 import argparse
@@ -33,11 +35,13 @@ from bncover import (
     PdsConfig,
     Query,
     Reconfigurable,
+    ResourceExhausted,
     ResourceLimits,
     VassConfig,
     WitnessExtractionFailed,
     backward_coverability,
     complete_receives,
+    diam_deg_coverable,
     explore,
     pds_coverable,
     rbn_coverable,
@@ -47,10 +51,11 @@ from bncover import (
     static_witness_run,
     vass_leq,
 )
+from bncover import static_cover
 from bncover.cli import VERDICT_COVERABLE, VERDICT_NOT, run_query
 from bncover.rbn import rbn_unlock
 from conftest import random_finite, random_pushdown, random_receive_total, random_vass
-from oracles import forward_cover, unlock_one_query_at_a_time
+from oracles import CompleteGraphSpace, forward_cover, unlock_one_query_at_a_time
 
 
 def sweep_backward_vs_forward(rng, rounds):
@@ -249,6 +254,49 @@ def sweep_unbacked_static_positives(rng, rounds):
     return checked, skipped
 
 
+def sweep_static_skipping_vs_complete(rng, rounds):
+    """On counter models, receive-total or not, the fixed-topology verdicts
+    (path-bounded, clique, diam-deg up to 3 nodes), or the limit each
+    query ran out at, have the same ``repr`` whether or not saturation
+    builds the predecessor graphs its parent embeds into by the identity.
+    Counts one check per query."""
+    limits = ResourceLimits(max_basis=300, max_iters=20)
+
+    def decide_all(spec, targets):
+        out = []
+        for target in targets:
+            for cls in (PathBounded(2), PathBounded(3), Clique()):
+                out.append(decide(static_coverable, spec, target, cls, limits))
+            out.append(decide(diam_deg_coverable, spec, target, 2, 2, 3, limits))
+        return out
+
+    def decide(decider, *args):
+        try:
+            return repr(decider(*args))
+        except ResourceExhausted as exc:
+            return repr((exc.reason, exc.iterations, exc.basis_size))
+
+    checks = 0
+    plain = static_cover.GraphSpace
+    for i in range(rounds):
+        spec = random_receive_total(rng) if i % 2 else random_vass(
+            rng, max_states=4, max_dim=2, max_trans=10, letters="ab")
+        targets = tuple(
+            VassConfig(state, tuple(rng.choice((0, 1)) for _ in range(spec.dim)))
+            for state in spec.states
+        )
+        skipping = decide_all(spec, targets)
+        static_cover.GraphSpace = CompleteGraphSpace
+        try:
+            complete = decide_all(spec, targets)
+        finally:
+            static_cover.GraphSpace = plain
+        for got, want in zip(skipping, complete):
+            assert got == want, (spec, got, want)
+            checks += 1
+    return checks, 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rounds", type=int, default=100)
@@ -265,6 +313,7 @@ def main():
         ("rbn positive vs composed witness", sweep_rbn_vs_composed_witness),
         ("rbn pushdown batched vs per-query", sweep_rbn_pushdown_batched_vs_per_query),
         ("fixed-topology positive vs replay, not receive-total", sweep_unbacked_static_positives),
+        ("fixed-topology skipping vs complete predecessors", sweep_static_skipping_vs_complete),
     ]:
         agreed, skipped = sweep(rng, args.rounds)
         note = f", {skipped} skipped" if skipped else ""

@@ -232,6 +232,49 @@ def longest_simple_path_length(g: Graph) -> int:
     return best
 
 
+def _path_from(adj: Sequence[int], v: int, length: int, used: int) -> bool:
+    """Whether a simple path of ``length`` edges starts at ``v`` and avoids
+    the vertices of the bitmask ``used``, which holds ``v``."""
+    if length == 0:
+        return True
+    free = adj[v] & ~used
+    while free:
+        low = free & -free
+        if _path_from(adj, low.bit_length() - 1, length - 1, used | low):
+            return True
+        free ^= low
+    return False
+
+
+def _path_exceeds(adj: Sequence[int], k: int, through: Optional[int] = None) -> bool:
+    """Whether the graph of adjacency bitmasks ``adj`` has a simple path of
+    more than ``k`` edges, through vertex ``through`` when given.
+
+    Searches for a path of exactly ``k + 1`` edges and no longer.  Through
+    a vertex, the path splits there into two arms: the longer arm is grown
+    from ``through``, and the rest is sought from ``through`` avoiding it.
+    """
+    length = k + 1
+    if len(adj) <= length:
+        return False
+    if through is None:
+        return any(_path_from(adj, v, length, 1 << v) for v in range(len(adj)))
+
+    def arm(v: int, grown: int, used: int) -> bool:
+        rest = length - grown
+        if rest <= grown and _path_from(adj, through, rest, used):
+            return True
+        free = adj[v] & ~used
+        while free:
+            low = free & -free
+            if arm(low.bit_length() - 1, grown + 1, used | low):
+                return True
+            free ^= low
+        return False
+
+    return arm(through, 0, 1 << through)
+
+
 def diameter(g: Graph) -> Union[int, float]:
     """Longest shortest path; ``math.inf`` when disconnected."""
     if g.n == 0:
@@ -347,7 +390,7 @@ class ClassViolation(ValueError):
 
 def in_class(shape: Graph, cls: TopologyClass) -> bool:
     if isinstance(cls, PathBounded):
-        return longest_simple_path_length(shape) <= cls.k
+        return not _path_exceeds(shape.adjacency, cls.k)
     if isinstance(cls, Clique):
         return all(shape.adjacent(a, b) for a, b in itertools.combinations(range(shape.n), 2))
     if isinstance(cls, DiamDeg):
@@ -368,7 +411,10 @@ def enumerate_extensions(shape: Graph, cls: TopologyClass) -> tuple[Graph, ...]:
     The fresh vertex (index ``shape.n``) is attached to every subset of the
     old vertices, in ascending bitmask order, and the class filter keeps
     the admissible results.  The clique class admits only the full
-    attachment; fixed-shape classes extend nothing.
+    attachment; fixed-shape classes extend nothing.  Under a path bound,
+    ``shape`` is in the class, so only a path through the fresh vertex can
+    be too long; adding edges never shortens a path, so once an
+    attachment fails, every superset of it is skipped untested.
     """
     if not in_class(shape, cls):
         raise ClassViolation(f"graph is not in class {cls}")
@@ -377,13 +423,19 @@ def enumerate_extensions(shape: Graph, cls: TopologyClass) -> tuple[Graph, ...]:
     if isinstance(cls, Clique):
         extra = {(v, shape.n) for v in range(shape.n)}
         return (Graph(shape.n + 1, shape.edges | extra),)
+    fresh = shape.n
+    too_long: list[int] = []  # failed attachment masks, none a superset of another
     out = []
-    for mask in range(1 << shape.n):
-        extra = {(v, shape.n) for v in range(shape.n) if mask >> v & 1}
-        h = Graph(shape.n + 1, shape.edges | extra)
-        if isinstance(cls, PathBounded) and longest_simple_path_length(h) > cls.k:
-            continue
-        out.append(h)
+    for mask in range(1 << fresh):
+        if isinstance(cls, PathBounded):
+            if any(mask & m == m for m in too_long):
+                continue
+            adj = [a | (mask >> v & 1) << fresh for v, a in enumerate(shape.adjacency)]
+            if _path_exceeds((*adj, mask), cls.k, fresh):
+                too_long.append(mask)
+                continue
+        extra = {(v, fresh) for v in range(fresh) if mask >> v & 1}
+        out.append(Graph(fresh + 1, shape.edges | extra))
     return tuple(out)
 
 

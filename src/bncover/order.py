@@ -50,7 +50,8 @@ class OrderedSpace(Protocol):
     ``labels`` lists the transition labels in declaration order.  ``leq``
     must be reflexive and transitive, and ``pre_basis_for_label(label,
     basis)`` must return a finite basis of the one-step
-    ``label``-predecessors of the upward closure of ``basis``.  A counter
+    ``label``-predecessors of the upward closure of ``basis``; it may leave
+    out predecessors that lie above an element of ``basis``.  A counter
     process spec (:class:`~bncover.vass.VassSpec`) is such a space itself,
     as is the graph space of a fixed-topology class
     (:class:`~bncover.static_cover.GraphSpace`).
@@ -119,7 +120,11 @@ def backward_coverability(
     and recording which (label, parent) pair introduced each kept element.
     Stops as soon as a kept element is dominated by an initial
     configuration, or when a round adds nothing new.  Label order and
-    basis insertion order are fixed, so runs are reproducible.
+    basis insertion order are fixed, so runs are reproducible.  Each parent
+    is in the antichain when its round starts, and the antichain's upward
+    closure only grows, so ``space.pre_basis_for_label`` may leave out the
+    predecessors above an element of the basis it is given: they would be
+    dropped anyway.
 
     ``observer``, when given, is called as ``observer(old_basis, new_basis)``
     after every round's minimization, for instrumentation.

@@ -22,6 +22,20 @@ it the verdict, the iteration count and the antichain's size, is the one
 the placements would give; only which isomorphic representative a basis,
 chain or witness holds depends on this choice.
 
+Saturation needs no predecessor already above an element of its antichain
+(Abdulla, Čerāns, Jonsson and Tsay, LICS 1996), so
+:meth:`GraphSpace.pre_basis_for_label` does not build a candidate whose
+every relabelled vertex of ``theta`` takes a label dominating its old one:
+``theta`` embeds into it by the identity.  That covers same-shape
+relabellings whose broadcaster and neighbors all dominate their old labels,
+and extensions whose receivers all do, such as every extension whose fresh
+vertex has no neighbors.  This is exact.  The parent ``theta`` is in the
+frontier, so in the antichain when the round starts, and the upward closure
+of the kept elements never shrinks during the keep loop, so the loop would
+drop the candidate anyway: the kept elements, their order, the chains, the
+iteration count, the basis size and the witnesses are those of the complete
+construction.  :func:`static_pre_basis` keeps the complete set.
+
 An embedding needs, in the larger graph, at least as many vertices, edges
 and vertices of each control state as the smaller graph has, so
 :meth:`GraphSpace.leq` compares those counts before it searches, which
@@ -143,27 +157,33 @@ class GraphSpace:
         """Predecessor graphs of ``thetas``, duplicates dropped but not
         minimized: the saturation engine minimizes them against its
         antichain, and keeps the same elements in the same order either way
-        (the earliest of order-equivalent minimal elements)."""
+        (the earliest of order-equivalent minimal elements).  A candidate
+        that ``theta`` embeds into by the identity is left out (see the
+        module docstring)."""
         out: list[LabelledGraph] = []
         for theta in thetas:
-            out.extend(self.pre_graphs(theta, letter))
+            out.extend(self.pre_graphs(theta, letter, skip_above=True))
         return tuple(dict.fromkeys(out))
 
     # -- predecessor construction -----------------------------------------
 
     def _vertex_pre(self, label_value, label: Label):
-        """Predecessor basis of one vertex label under a process label."""
+        """Predecessor basis of one vertex label under a process label, each
+        configuration paired with whether it dominates ``label_value``."""
         key = (label_value, label)
         basis = self._pre_cache.get(key)
         if basis is None:
             if label_value is WILDCARD:
-                basis = tuple(self.spec.min_enabling(label))
+                configs = self.spec.min_enabling(label)
             else:
-                basis = tuple(self.spec.pre_basis_for_label(label, (label_value,)))
+                configs = self.spec.pre_basis_for_label(label, (label_value,))
+            basis = tuple((c, self.label_leq(label_value, c)) for c in configs)
             self._pre_cache[key] = basis
         return basis
 
-    def pre_graphs(self, theta: LabelledGraph, letter: str) -> tuple[LabelledGraph, ...]:
+    def pre_graphs(
+        self, theta: LabelledGraph, letter: str, *, skip_above: bool = False
+    ) -> tuple[LabelledGraph, ...]:
         """Unminimized predecessor graphs of the upward closure of ``theta``
         one ``letter`` broadcast back.
 
@@ -174,7 +194,11 @@ class GraphSpace:
         configuration came from fires, and for a vertex of ``theta`` lands
         above its label.  The embedding of the construction (the identity)
         keeps edges, non-edges and every other label, so it carries
-        ``theta`` into that successor graph."""
+        ``theta`` into that successor graph.
+
+        With ``skip_above``, a candidate whose every relabelled vertex of
+        ``theta`` takes a label dominating its old one is not built:
+        ``theta`` embeds into it by the identity."""
         bl, rl = Label.broadcast(letter), Label.receive(letter)
         emitted: list[LabelledGraph] = []
 
@@ -187,10 +211,13 @@ class GraphSpace:
             receiver_bases = [self._vertex_pre(theta.labels[u], rl) for u in nbrs]
             if not all(receiver_bases):
                 continue
-            for cv in emitter_basis:
+            for cv, cv_up in emitter_basis:
+                above = skip_above and cv_up
                 for combo in itertools.product(*receiver_bases):
+                    if above and all(cu_up for _, cu_up in combo):
+                        continue
                     patch = {v: cv}
-                    for u, cu in zip(nbrs, combo):
+                    for u, (cu, _) in zip(nbrs, combo):
                         patch[u] = cu
                     emitted.append(theta.with_labels(patch))
 
@@ -204,10 +231,12 @@ class GraphSpace:
                 receiver_bases = [receives[u] for u in nbrs]
                 if not all(receiver_bases):
                     continue
-                for cv in enabling:
+                for cv, _ in enabling:
                     for combo in itertools.product(*receiver_bases):
+                        if skip_above and all(cu_up for _, cu_up in combo):
+                            continue
                         labels = [*theta.labels, cv]
-                        for u, cu in zip(nbrs, combo):
+                        for u, (cu, _) in zip(nbrs, combo):
                             labels[u] = cu
                         emitted.append(ext.labelled(tuple(labels)))
         return tuple(emitted)

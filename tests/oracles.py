@@ -2,7 +2,9 @@
 against.  Everything here favors obviousness over speed and shares no
 logic with the code under test beyond the process successor relation,
 except :func:`unlock_one_query_at_a_time`, which replays the rbn
-unlocking loop one one-target pushdown query at a time.
+unlocking loop one one-target pushdown query at a time, and
+:class:`CompleteGraphSpace`, which keeps every predecessor graph the
+fixed-topology construction builds.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import itertools
 from collections import deque
 
 from bncover import (
+    GraphSpace,
     Label,
     QueryRecord,
     SaturationTrace,
@@ -95,6 +98,17 @@ def unlock_one_query_at_a_time(spec):
             break
     done = frozenset(spec.alphabet) - frozenset(remaining)
     return SaturationTrace(tuple(sweeps), done), current
+
+
+class CompleteGraphSpace(GraphSpace):
+    """Graph space whose predecessor basis holds every graph
+    ``GraphSpace.pre_graphs`` builds, those its parent embeds into by the
+    identity too."""
+
+    def pre_basis_for_label(self, letter, thetas):
+        return tuple(dict.fromkeys(
+            g for theta in thetas for g in self.pre_graphs(theta, letter)
+        ))
 
 
 def injections_brute(g1, g2, label_leq):

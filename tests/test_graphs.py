@@ -285,6 +285,47 @@ def test_every_extension_contains_the_original_induced():
             assert graph_embeds(lg, lh, lambda a, b: True) is not None
 
 
+def _random_shape(rng, max_n):
+    n = rng.randint(0, max_n)
+    density = rng.random()
+    return Graph(n, frozenset(
+        (a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density
+    ))
+
+
+def test_path_bounded_class_check_is_the_exact_longest_path():
+    rng = random.Random(181)
+    members = 0
+    for _ in range(150):
+        g = _random_shape(rng, 7)
+        longest = longest_simple_path_length(g)
+        for k in range(1, 6):
+            assert in_class(g, PathBounded(k)) == (longest <= k), (g, k)
+            members += longest <= k
+    assert 100 < members < 700
+
+
+def test_path_bounded_extensions_equal_the_brute_force_filter():
+    # every attachment mask in ascending order, kept when the exact longest
+    # path allows it; the pruned search must give the same graphs in order
+    rng = random.Random(191)
+    compared = 0
+    while compared < 60:
+        g = _random_shape(rng, 7)
+        k = rng.randint(1, 5)
+        if longest_simple_path_length(g) > k:
+            continue
+        brute = []
+        for mask in range(1 << g.n):
+            h = Graph(g.n + 1, g.edges | {(v, g.n) for v in range(g.n) if mask >> v & 1})
+            if longest_simple_path_length(h) <= k:
+                brute.append(h)
+        got = enumerate_extensions(g, PathBounded(k))
+        assert got == tuple(brute), (g, k)
+        assert [list(h.edges) for h in got] == [list(h.edges) for h in brute]
+        compared += 1
+
+
 def test_reconfigurable_accepts_everything():
     assert in_class(path(4), Reconfigurable())
 

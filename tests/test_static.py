@@ -31,6 +31,7 @@ from bncover import (
 )
 
 from conftest import cfg, random_finite, random_receive_total, random_vass
+from oracles import CompleteGraphSpace
 
 
 def edgeless(*labels):
@@ -488,7 +489,7 @@ def test_saturation_matches_the_one_over_every_placement():
     # building predecessors from every placement of theta only adds
     # isomorphic copies, so verdicts, round counts and basis sizes agree
     class EveryPlacementGraphSpace(GraphSpace):
-        def pre_graphs(self, theta, letter):
+        def pre_graphs(self, theta, letter, *, skip_above=False):
             return _reference_pre_graphs(self.spec, self.cls, theta, letter)
 
     def summary(verdict):
@@ -523,8 +524,8 @@ def test_counting_model_under_clique_builds_few_predecessors(counting, monkeypat
     emitted = []
     plain = GraphSpace.pre_graphs
 
-    def counting_pre_graphs(self, theta, letter):
-        out = plain(self, theta, letter)
+    def counting_pre_graphs(self, theta, letter, **kwargs):
+        out = plain(self, theta, letter, **kwargs)
         emitted.append(len(out))
         return out
 
@@ -603,3 +604,43 @@ def test_saturation_is_the_same_with_candidates_minimized_first(relay, monkeypat
 def test_relay_q4_under_diam_deg_on_four_vertices_of_degree_three(relay):
     verdict = diam_deg_coverable(relay, cfg("q4", 0), 2, 3, 4)
     assert (verdict.coverable, verdict.iterations, len(verdict.basis)) == (False, 43, 7)
+
+
+def test_saturation_is_the_same_when_predecessors_above_the_parent_are_built(monkeypatch):
+    # a candidate theta embeds into by the identity lies above the parent,
+    # which is in the antichain, so the keep loop drops it either way
+    from bncover import static_cover
+
+    built = {"skipping": 0, "complete": 0}
+
+    class SkippingGraphSpace(GraphSpace):
+        def pre_basis_for_label(self, letter, thetas):
+            out = super().pre_basis_for_label(letter, thetas)
+            built["skipping"] += len(out)
+            return out
+
+    class CountingCompleteGraphSpace(CompleteGraphSpace):
+        def pre_basis_for_label(self, letter, thetas):
+            out = super().pre_basis_for_label(letter, thetas)
+            built["complete"] += len(out)
+            return out
+
+    def decide_all(space):
+        monkeypatch.setattr(static_cover, "GraphSpace", space)
+        out = []
+        rng = random.Random(197)
+        for _ in range(16):
+            spec = random_receive_total(rng)
+            for state in spec.states:
+                target = VassConfig(state, (0,) * spec.dim)
+                for cls in (PathBounded(2), PathBounded(3), Clique()):
+                    out.append(static_coverable(spec, target, cls))
+                out.append(diam_deg_coverable(spec, target, 2, 2, 3))
+        return out
+
+    skipping = decide_all(SkippingGraphSpace)
+    complete = decide_all(CountingCompleteGraphSpace)
+    assert list(map(repr, skipping)) == list(map(repr, complete))
+    assert sum(v.coverable for v in skipping) >= 20
+    assert sum(not v.coverable for v in skipping) >= 20
+    assert built["complete"] - built["skipping"] >= 500  # the skip is not idle
