@@ -15,8 +15,10 @@ unlocking loop and final queries that ask one query at a time, every
 ``coverable`` that ``bncover verify`` prints for a fixed topology on a
 process that is not receive-total against replay of the witness it
 carries, and the fixed-topology saturation, which builds no predecessor
-graph its parent embeds into by the identity, against one that keeps
-every graph of the construction.
+graph its parent embeds into by the identity and whose order compares
+packed vertex, edge and per-state counts before it searches for an
+embedding, against one that keeps every graph of the construction and
+against one that runs the embedding search for every test.
 """
 
 import argparse
@@ -55,7 +57,12 @@ from bncover import static_cover
 from bncover.cli import VERDICT_COVERABLE, VERDICT_NOT, run_query
 from bncover.rbn import rbn_unlock
 from conftest import random_finite, random_pushdown, random_receive_total, random_vass
-from oracles import CompleteGraphSpace, forward_cover, unlock_one_query_at_a_time
+from oracles import (
+    CompleteGraphSpace,
+    PlainOrderGraphSpace,
+    forward_cover,
+    unlock_one_query_at_a_time,
+)
 
 
 def sweep_backward_vs_forward(rng, rounds):
@@ -260,6 +267,22 @@ def sweep_static_skipping_vs_complete(rng, rounds):
     query ran out at, have the same ``repr`` whether or not saturation
     builds the predecessor graphs its parent embeds into by the identity.
     Counts one check per query."""
+    return _same_fixed_topology_verdicts(rng, rounds, CompleteGraphSpace)
+
+
+def sweep_static_key_vs_plain_order(rng, rounds):
+    """On counter models, receive-total or not, the fixed-topology verdicts
+    (path-bounded, clique, diam-deg up to 3 nodes), or the limit each
+    query ran out at, have the same ``repr`` whether the graph order tests
+    packed count keys before its embedding search or runs the search
+    alone.  Counts one check per query."""
+    return _same_fixed_topology_verdicts(rng, rounds, PlainOrderGraphSpace)
+
+
+def _same_fixed_topology_verdicts(rng, rounds, oracle_space):
+    """One check per query: the verdict's ``repr`` (or the limit's) with
+    ``static_cover.GraphSpace`` equals the one with ``oracle_space`` in
+    its place.  Half the models are receive-total."""
     limits = ResourceLimits(max_basis=300, max_iters=20)
 
     def decide_all(spec, targets):
@@ -285,14 +308,14 @@ def sweep_static_skipping_vs_complete(rng, rounds):
             VassConfig(state, tuple(rng.choice((0, 1)) for _ in range(spec.dim)))
             for state in spec.states
         )
-        skipping = decide_all(spec, targets)
-        static_cover.GraphSpace = CompleteGraphSpace
+        got = decide_all(spec, targets)
+        static_cover.GraphSpace = oracle_space
         try:
-            complete = decide_all(spec, targets)
+            want = decide_all(spec, targets)
         finally:
             static_cover.GraphSpace = plain
-        for got, want in zip(skipping, complete):
-            assert got == want, (spec, got, want)
+        for g, w in zip(got, want):
+            assert g == w, (spec, g, w)
             checks += 1
     return checks, 0
 
@@ -314,6 +337,7 @@ def main():
         ("rbn pushdown batched vs per-query", sweep_rbn_pushdown_batched_vs_per_query),
         ("fixed-topology positive vs replay, not receive-total", sweep_unbacked_static_positives),
         ("fixed-topology skipping vs complete predecessors", sweep_static_skipping_vs_complete),
+        ("fixed-topology key prefilter vs plain embedding order", sweep_static_key_vs_plain_order),
     ]:
         agreed, skipped = sweep(rng, args.rounds)
         note = f", {skipped} skipped" if skipped else ""

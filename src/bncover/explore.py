@@ -120,11 +120,11 @@ def replay(spec, run: Sequence[RunStep]) -> ReplayResult:
                 return ReplayResult(False, i, "broadcast step lacks a valid vertex/letter")
             if g.labels[v] not in spec.successors(prev.labels[v], Label.broadcast(a)):
                 return ReplayResult(False, i, f"vertex {v} has no matching !!{a} transition")
-            nbrs = set(prev.neighbors(v))
+            nbrs = prev.shape.adjacency[v]
             for u in range(g.n):
                 if u == v:
                     continue
-                if u in nbrs:
+                if nbrs >> u & 1:
                     if g.labels[u] not in spec.successors(prev.labels[u], Label.receive(a)):
                         return ReplayResult(False, i, f"neighbor {u} has no matching ??{a} transition")
                 elif g.labels[u] != prev.labels[u]:

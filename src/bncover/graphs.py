@@ -63,9 +63,15 @@ class Graph:
     def adjacent(self, a: int, b: int) -> bool:
         return bool(self.adjacency[a] >> b & 1)
 
+    @cached_property
+    def neighborhoods(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbors of each vertex, in ascending order."""
+        return tuple(
+            tuple(w for w in range(self.n) if mask >> w & 1) for mask in self.adjacency
+        )
+
     def neighbors(self, v: int) -> tuple[int, ...]:
-        mask = self.adjacency[v]
-        return tuple(w for w in range(self.n) if mask >> w & 1)
+        return self.neighborhoods[v]
 
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()
@@ -102,18 +108,6 @@ class LabelledGraph:
             raise ValueError("one label per vertex is required")
         object.__setattr__(self, "edges", shape.edges)
         object.__setattr__(self, "shape", shape)
-
-    @cached_property
-    def state_counts(self) -> dict:
-        """Number of vertices per control state of their label, built on
-        first use; labels without a ``state`` (such as a wildcard) are not
-        counted."""
-        counts: dict = {}
-        for label in self.labels:
-            state = getattr(label, "state", None)
-            if state is not None:
-                counts[state] = counts.get(state, 0) + 1
-        return counts
 
     def adjacent(self, a: int, b: int) -> bool:
         return self.shape.adjacent(a, b)
@@ -210,7 +204,7 @@ def graph_injections(small: Graph, large: Graph) -> Iterator[tuple[int, ...]]:
 def longest_simple_path_length(g: Graph) -> int:
     """Exact maximum number of edges on a simple path, by backtracking."""
     best = 0
-    adj = [g.neighbors(v) for v in range(g.n)]
+    adj = g.neighborhoods
     visited = [False] * g.n
 
     def dfs(v: int, length: int):
@@ -279,7 +273,7 @@ def diameter(g: Graph) -> Union[int, float]:
     """Longest shortest path; ``math.inf`` when disconnected."""
     if g.n == 0:
         return 0
-    adj = [g.neighbors(v) for v in range(g.n)]
+    adj = g.neighborhoods
     worst = 0
     for src in range(g.n):
         dist = {src: 0}

@@ -39,15 +39,22 @@ construction.  :func:`static_pre_basis` keeps the complete set.
 An embedding needs, in the larger graph, at least as many vertices, edges
 and vertices of each control state as the smaller graph has, so
 :meth:`GraphSpace.leq` compares those counts before it searches, which
-settles most of its (mostly failing) tests.
+settles most of its (mostly failing) tests.  Each graph's counts are packed
+once into one integer of guarded fields (:class:`_CountLayout`), and the
+comparison is one subtraction and one mask.
 
 Work fixed by a shape and the class alone, whatever the process and the
 target, lives for the process: the extension table of each (class, shape)
 and the diam-deg shapes with their position orbits of each ``(k, d,
 n_max)`` are built by the first query that needs them and read by every
-later one.  The per-vertex predecessor bases depend on the process and
+later one.  The predecessor rows depend on the process, the letter and
 the vertex label alone, so every query over an equal process shares one
-store of them.  Stores are kept for the 64 processes used last, the bound
+store of them: per letter and vertex label (or wildcard), the broadcast
+basis, the receive basis and whether every receive entry dominates the
+label.  :meth:`GraphSpace.pre_graphs` looks up the row of each vertex of
+its graph once, and a row whose receive entries all dominate lets the
+skip above drop a whole product of receiver choices at once.  Stores are
+kept for the 64 processes used last, the bound
 :func:`~bncover.rbn.rbn_unlock` keeps its per-process work under: a
 model's queries run back to back, so the bound costs no reuse, and a run
 over many models still holds bounded memory.
@@ -66,6 +73,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Optional, Sequence
 
 from .explore import Run, bn_step, build_run
@@ -105,19 +113,58 @@ class _Wildcard:
 WILDCARD = _Wildcard()
 
 
-def _counts_admit(small: LabelledGraph, large: LabelledGraph) -> bool:
-    """Whether ``large`` has at least the vertices, the edges and, per control
-    state, the vertices of that state that ``small`` has.  Every embedding
-    of ``small`` into ``large`` needs them: the process order requires equal
-    states, and a wildcard, carrying no state, counts on neither side (a
-    wildcard of ``large`` only hosts wildcards)."""
-    if small.n > large.n or len(small.edges) > len(large.edges):
-        return False
-    have = large.state_counts
-    for q, k in small.state_counts.items():
-        if have.get(q, 0) < k:
-            return False
-    return True
+# a count key's field: 7 value bits under a guard bit
+_FIELD_BITS = 8
+_GUARD = 1 << _FIELD_BITS - 1
+_FIELD_TOP = _GUARD - 1
+
+
+class _CountLayout:
+    """Packed count keys of labelled graphs over one list of control states.
+
+    A graph's key holds, in fixed-width fields, its vertex count, its edge
+    count and its number of vertices of each state, in ``states`` order; a
+    wildcard, carrying no state, counts for no state, and neither does a
+    state the list lacks.  Each field holds its count clamped to 127 under
+    a guard bit the key leaves clear.  Subtracting a key from another whose
+    guard bits are set borrows from a field's guard bit exactly when the
+    subtracted count is the larger, and never across fields, so
+    :meth:`admits` compares every field in one integer test.  Clamping
+    never reverses an order between two counts, and a count left out is
+    never compared, so the test stays a necessary condition.
+
+    Each graph keeps its key next to the layout that computed it, and a
+    layout reads only its own.
+    """
+
+    def __init__(self, states: Sequence[str]):
+        self._shift = {q: _FIELD_BITS * i for i, q in enumerate(states, 2)}
+        self._guards = sum(_GUARD << _FIELD_BITS * i for i in range(len(states) + 2))
+
+    def key(self, g: LabelledGraph) -> int:
+        kept = getattr(g, "_count_key", None)
+        if kept is not None and kept[0] is self:
+            return kept[1]
+        counts: dict = {}
+        for label in g.labels:
+            if label is not WILDCARD:
+                counts[label.state] = counts.get(label.state, 0) + 1
+        key = min(g.n, _FIELD_TOP) | min(len(g.edges), _FIELD_TOP) << _FIELD_BITS
+        for q, c in counts.items():
+            shift = self._shift.get(q)
+            if shift is not None:
+                key |= min(c, _FIELD_TOP) << shift
+        vars(g)["_count_key"] = (self, key)
+        return key
+
+    def admits(self, small: LabelledGraph, large: LabelledGraph) -> bool:
+        """Whether ``large`` has at least the vertices, the edges and, per
+        control state, the vertices of that state that ``small`` has, up to
+        clamping.  Every embedding of ``small`` into ``large`` needs them:
+        the process order requires equal states, and a wildcard of
+        ``large`` only hosts wildcards."""
+        guards = self._guards
+        return ((self.key(large) | guards) - self.key(small)) & guards == guards
 
 
 class GraphSpace:
@@ -132,7 +179,8 @@ class GraphSpace:
         self.spec = spec
         self.cls = cls
         self._config_leq = spec.leq
-        self._pre_cache = _pre_bases(spec)
+        self._counts = _CountLayout(spec.states)
+        self._pre_rows = _pre_bases(spec)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -146,7 +194,7 @@ class GraphSpace:
         return self._config_leq(a, b)
 
     def leq(self, t1: LabelledGraph, t2: LabelledGraph) -> bool:
-        return _counts_admit(t1, t2) and graph_embeds(t1, t2, self.label_leq) is not None
+        return self._counts.admits(t1, t2) and graph_embeds(t1, t2, self.label_leq) is not None
 
     def covered_by_initial(self, theta: LabelledGraph) -> bool:
         return all(
@@ -167,20 +215,6 @@ class GraphSpace:
 
     # -- predecessor construction -----------------------------------------
 
-    def _vertex_pre(self, label_value, label: Label):
-        """Predecessor basis of one vertex label under a process label, each
-        configuration paired with whether it dominates ``label_value``."""
-        key = (label_value, label)
-        basis = self._pre_cache.get(key)
-        if basis is None:
-            if label_value is WILDCARD:
-                configs = self.spec.min_enabling(label)
-            else:
-                configs = self.spec.pre_basis_for_label(label, (label_value,))
-            basis = tuple((c, self.label_leq(label_value, c)) for c in configs)
-            self._pre_cache[key] = basis
-        return basis
-
     def pre_graphs(
         self, theta: LabelledGraph, letter: str, *, skip_above: bool = False
     ) -> tuple[LabelledGraph, ...]:
@@ -198,23 +232,33 @@ class GraphSpace:
 
         With ``skip_above``, a candidate whose every relabelled vertex of
         ``theta`` takes a label dominating its old one is not built:
-        ``theta`` embeds into it by the identity."""
-        bl, rl = Label.broadcast(letter), Label.receive(letter)
+        ``theta`` embeds into it by the identity.  A whole product of
+        receiver choices is skipped when its broadcaster's label dominates
+        and every receiver's whole receive basis does."""
+        store = self._pre_rows.get(letter)
+        if store is None:
+            store = self._pre_rows[letter] = _LetterRows(self.spec, letter)
+        rows = [store[l] for l in theta.labels]
+        # the vertices with a receive entry that does not dominate their label
+        mixed = sum(1 << u for u, row in enumerate(rows) if not row[2])
+        adjacency, neighborhoods = theta.shape.adjacency, theta.shape.neighborhoods
         emitted: list[LabelledGraph] = []
 
         # relabellings of theta itself around each broadcaster choice
-        for v in range(theta.n):
-            emitter_basis = self._vertex_pre(theta.labels[v], bl)
-            if not emitter_basis:
+        for v, (sends, _, _) in enumerate(rows):
+            if not sends:
                 continue
-            nbrs = theta.neighbors(v)
-            receiver_bases = [self._vertex_pre(theta.labels[u], rl) for u in nbrs]
+            nbrs = neighborhoods[v]
+            receiver_bases = [rows[u][1] for u in nbrs]
             if not all(receiver_bases):
                 continue
-            for cv, cv_up in emitter_basis:
+            all_up = skip_above and not adjacency[v] & mixed
+            for cv, cv_up in sends:
                 above = skip_above and cv_up
+                if above and all_up:
+                    continue
                 for combo in itertools.product(*receiver_bases):
-                    if above and all(cu_up for _, cu_up in combo):
+                    if above and all(map(_dominates, combo)):
                         continue
                     patch = {v: cv}
                     for u, (cu, _) in zip(nbrs, combo):
@@ -222,18 +266,17 @@ class GraphSpace:
                     emitted.append(theta.with_labels(patch))
 
         # one fresh broadcaster attached in every class-admissible way
-        enabling = self._vertex_pre(WILDCARD, bl)
+        enabling = store[WILDCARD][0]
         if enabling:
-            receives = None  # per vertex of theta, built at the first row: DiamDeg has none
-            for ext, nbrs in _extension_table(self.cls, theta.shape):
-                if receives is None:
-                    receives = [self._vertex_pre(l, rl) for l in theta.labels]
-                receiver_bases = [receives[u] for u in nbrs]
+            for ext, nbrs, attached in _extension_table(self.cls, theta.shape):
+                if skip_above and not attached & mixed:
+                    continue
+                receiver_bases = [rows[u][1] for u in nbrs]
                 if not all(receiver_bases):
                     continue
                 for cv, _ in enabling:
                     for combo in itertools.product(*receiver_bases):
-                        if skip_above and all(cu_up for _, cu_up in combo):
+                        if skip_above and all(map(_dominates, combo)):
                             continue
                         labels = [*theta.labels, cv]
                         for u, (cu, _) in zip(nbrs, combo):
@@ -242,22 +285,54 @@ class GraphSpace:
         return tuple(emitted)
 
 
+# whether a basis entry dominates its label
+_dominates = operator.itemgetter(1)
+
+
+class _LetterRows(dict):
+    """Predecessor rows of one letter of a process, by vertex label (or
+    wildcard), each built on its first lookup: the label's ``!!letter``
+    basis and its ``??letter`` basis, each configuration paired with
+    whether it dominates the label, and whether every configuration of the
+    receive basis does."""
+
+    def __init__(self, spec, letter: str):
+        super().__init__()
+        self.spec = spec
+        self.labels = (Label.broadcast(letter), Label.receive(letter))
+
+    def __missing__(self, value):
+        bases = []
+        for label in self.labels:
+            if value is WILDCARD:
+                configs = self.spec.min_enabling(label)
+            else:
+                configs = self.spec.pre_basis_for_label(label, (value,))
+            bases.append(
+                tuple((c, value is WILDCARD or self.spec.leq(value, c)) for c in configs)
+            )
+        sends, receives = bases
+        row = self[value] = (sends, receives, all(map(_dominates, receives)))
+        return row
+
+
 @functools.lru_cache(maxsize=64)
 def _pre_bases(spec) -> dict:
-    """The store of per-vertex predecessor bases of ``spec``, by ``(vertex
-    label, process label)``, shared by every query over an equal process."""
+    """The store of predecessor rows of ``spec``, a :class:`_LetterRows`
+    by letter, shared by every query over an equal process."""
     return {}
 
 
 @functools.cache
-def _extension_table(cls: TopologyClass, shape: Graph) -> tuple[tuple[Graph, tuple[int, ...]], ...]:
+def _extension_table(cls: TopologyClass, shape: Graph) -> tuple[tuple[Graph, tuple[int, ...], int], ...]:
     """Every class-admissible extension of ``shape`` by the fresh vertex
-    ``shape.n``, as ``(extension, neighbors of the fresh vertex)`` in
-    :func:`enumerate_extensions` order, built once per process."""
+    ``shape.n``, as ``(extension, neighbors of the fresh vertex, their
+    bitmask)`` in :func:`enumerate_extensions` order, built once per
+    process."""
     # each extension validated afresh, as a graph built from its edge set
     # would be, so its edges iterate (and print) in that same order
     exts = (Graph(ext.n, ext.edges) for ext in enumerate_extensions(shape, cls))
-    return tuple((ext, ext.neighbors(shape.n)) for ext in exts)
+    return tuple((ext, ext.neighbors(shape.n), ext.adjacency[shape.n]) for ext in exts)
 
 
 def static_pre_basis(spec, theta: LabelledGraph, cls: TopologyClass) -> tuple[LabelledGraph, ...]:

@@ -4,7 +4,8 @@ logic with the code under test beyond the process successor relation,
 except :func:`unlock_one_query_at_a_time`, which replays the rbn
 unlocking loop one one-target pushdown query at a time, and
 :class:`CompleteGraphSpace`, which keeps every predecessor graph the
-fixed-topology construction builds.
+fixed-topology construction builds, and :class:`PlainOrderGraphSpace`,
+which orders graphs by the embedding search alone.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from bncover import (
     SweepRecord,
     VassConfig,
     add_receives,
+    graph_embeds,
     pds_coverable,
     strip_receives,
     vass_leq,
@@ -109,6 +111,14 @@ class CompleteGraphSpace(GraphSpace):
         return tuple(dict.fromkeys(
             g for theta in thetas for g in self.pre_graphs(theta, letter)
         ))
+
+
+class PlainOrderGraphSpace(GraphSpace):
+    """Graph space whose order is the bare embedding search, with no count
+    prefilter before it."""
+
+    def leq(self, t1, t2):
+        return graph_embeds(t1, t2, self.label_leq) is not None
 
 
 def injections_brute(g1, g2, label_leq):

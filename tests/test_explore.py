@@ -155,6 +155,19 @@ def test_replay_rejects_forged_receive(relay):
     )
     outcome = replay(relay, forged)
     assert not outcome and outcome.failed_at == 1
+    # a vertex off the broadcaster's links takes the receive step anyway
+    before = LabelledGraph(3, base.edges, (cfg("q0", 1), cfg("q6", 1), cfg("q6", 1)))
+    forged = (
+        RunStep("init", before),
+        RunStep(
+            "broadcast",
+            LabelledGraph(3, base.edges, (cfg("q1", 0), cfg("q7", 2), cfg("q7", 2))),
+            0,
+            "a",
+        ),
+    )
+    outcome = replay(relay, forged)
+    assert not outcome and outcome.failed_at == 1 and "non-neighbor 2" in outcome.reason
 
 
 def test_replay_rejects_label_changes_during_reconfiguration(relay):

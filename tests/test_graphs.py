@@ -102,7 +102,8 @@ def test_embeds_agrees_with_brute_force():
 
 
 def test_counting_prefilter_never_rejects_an_embedding():
-    from bncover.static_cover import WILDCARD, _counts_admit
+    from bncover import GraphSpace, VassSpec
+    from bncover.static_cover import WILDCARD
 
     def label_leq(a, b):
         return a is WILDCARD or (b is not WILDCARD and vass_leq(a, b))
@@ -110,6 +111,12 @@ def test_counting_prefilter_never_rejects_an_embedding():
     def wild(g, share):
         return g.shape.labelled(tuple(WILDCARD if rng.random() < share else l for l in g.labels))
 
+    def space(states):
+        return GraphSpace(VassSpec(states, 1, (("p", (0,)),), ()), PathBounded(9))
+
+    # the same states listed in two orders: neither space may read the
+    # other's keys, which every pair below is keyed under in turn
+    pq, qp = space(("p", "q")), space(("q", "p"))
     rng = random.Random(73)
     embedded = rejected = 0
     for i in range(300):
@@ -127,12 +134,26 @@ def test_counting_prefilter_never_rejects_an_embedding():
         else:
             large = random_labelled_graph(rng, max_n=5, max_counter=1)
         small, large = wild(small, 0.3), wild(large, 0.15)
-        admitted = _counts_admit(small, large)
-        if embeds_brute(small, large, label_leq):
+        admitted = pq._counts.admits(small, large)
+        embeds = embeds_brute(small, large, label_leq)
+        assert qp._counts.admits(small, large) == admitted, (small, large)
+        assert pq._counts.admits(small, large) == admitted, (small, large)
+        assert pq.leq(small, large) == qp.leq(small, large) == embeds, (small, large)
+        if embeds:
             assert admitted, (small, large)
             embedded += 1
         rejected += not admitted
     assert embedded >= 60 and rejected >= 60
+    # the keys stay out of equality, hashing and repr
+    assert "_count_key" in vars(small) and "_count_key" not in repr(small)
+    assert small == small.shape.labelled(small.labels)
+
+    # counts past the largest field value (127) are clamped, and the
+    # embedding search still decides
+    p = lambda k, size: LabelledGraph(size, frozenset(), (cfg("p", k),) * size)
+    assert pq.leq(p(0, 129), p(1, 130)) and pq.leq(p(0, 130), p(0, 130))
+    assert pq._counts.admits(p(0, 130), p(0, 129)) and not pq.leq(p(0, 130), p(0, 129))
+    assert not pq._counts.admits(p(0, 127), p(0, 126))
 
 
 def test_embedding_is_reflexive_and_transitive():
@@ -400,9 +421,10 @@ def test_labelled_graphs_share_their_shape():
     h = g.with_labels({0: cfg("q", 1)})
     assert h.shape is g.shape and h.edges is g.edges
     same = g.shape.labelled(g.labels)
-    assert g.state_counts == {"p": 3} and h.state_counts == {"p": 2, "q": 1}
     assert same == g and hash(same) == hash(g) and repr(same) == repr(g)
-    assert "shape" not in repr(g) and "state_counts" not in repr(g)
+    assert "shape" not in repr(g) and "neighborhoods" not in repr(g.shape)
     assert g.neighbors(1) == (0, 2) and g.shape.degree(1) == 2 and not g.adjacent(0, 2)
+    assert g.shape.neighborhoods == ((1,), (0, 2), (1,))
+    assert h.neighbors(1) is g.neighbors(1) is g.shape.neighborhoods[1]
     with pytest.raises(ValueError):
         g.shape.labelled((cfg("p", 0),))

@@ -249,6 +249,35 @@ def test_a_second_query_on_an_equal_process_computes_no_pre_basis_again(relay, m
     assert not seen & set(keys)
 
 
+def test_predecessor_rows_are_built_once_per_label_letter_and_sigil(relay, monkeypatch):
+    from bncover import VassSpec
+
+    calls: list = []
+    plain_pre, plain_enabling = VassSpec.pre_basis_for_label, VassSpec.min_enabling
+
+    def counting_pre(spec, label, basis):
+        calls.extend((c, label.letter, label.sigil) for c in basis)
+        return plain_pre(spec, label, basis)
+
+    def counting_enabling(spec, label):
+        calls.append((WILDCARD, label.letter, label.sigil))
+        return plain_enabling(spec, label)
+
+    monkeypatch.setattr(VassSpec, "pre_basis_for_label", counting_pre)
+    monkeypatch.setattr(VassSpec, "min_enabling", counting_enabling)
+
+    _empty_stores()
+    cold = static_coverable(relay, cfg("q4", 0), DiamDeg(2, 2, 3))
+    assert calls and len(calls) == len(set(calls))
+    # wildcard rows and labelled rows, under both sigils
+    assert {c[0] is WILDCARD for c in calls} == {True, False}
+    assert {c[2] for c in calls} == {"!!", "??"}
+    calls.clear()
+    warm = static_coverable(relay, cfg("q4", 0), DiamDeg(2, 2, 3))
+    assert calls == []
+    assert repr(warm) == repr(cold)
+
+
 def test_verdicts_do_not_depend_on_the_order_of_queries(relay):
     rng = random.Random(163)
     queries = [(relay, cfg("q4", 0)), (relay, cfg("q7", 0))]
@@ -329,6 +358,20 @@ def test_diam_deg_single_shape_broadcast_only_equals_plain():
 def test_relay_q4_not_coverable_under_diam_deg(relay):
     verdict = diam_deg_coverable(relay, cfg("q4", 0), 2, 4, 3)
     assert not verdict.coverable
+
+
+def test_a_target_in_an_undeclared_state_is_not_coverable(relay):
+    # no vertex ever takes the state, so the target graph stays the basis;
+    # the deciders take the target as given, without the parser's checks
+    target = cfg("undeclared", 0)
+    verdicts = [
+        diam_deg_coverable(relay, target, 2, 2, 3),
+        static_coverable(relay, target, PathBounded(2)),
+        static_coverable(relay, target, Clique()),
+    ]
+    for verdict in verdicts:
+        assert not verdict.coverable
+        assert [g.labels for g in verdict.basis] == [(target,)]
 
 
 def test_two_node_partner_requirement():
