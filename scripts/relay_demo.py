@@ -33,7 +33,7 @@ def main():
     for i, sweep in enumerate(result.trace.rounds, 1):
         asked = ", ".join(f"{q.letter}:{'y' if q.coverable else 'n'}" for q in sweep.queries)
         print(f"  sweep {i}: unlocked {list(sweep.unlocked) or '-'} (queries: {asked or '-'})")
-    run = rbn_witness(spec, target, result.trace, max_nodes=3, max_depth=6)
+    run = rbn_witness(spec, target, result.trace)
     print(f"witness: {run[0].graph.n} nodes, {len(run) - 1} steps, replay={bool(replay(spec, run))}")
     for step in run:
         what = f"{step.kind}"

@@ -1,10 +1,6 @@
 """Coverability checking for broadcast networks of infinite-state processes."""
 
 from .explore import (
-    ReplayResult,
-    Run,
-    RunStep,
-    SelfLoopError,
     WitnessExtractionFailed,
     bn_step,
     explore,
@@ -19,7 +15,7 @@ from .graphs import (
     LabelledGraph,
     PathBounded,
     Reconfigurable,
-    TopologyClass,
+    SelfLoopError,
     canonical_form,
     diameter,
     enumerate_diam_deg_graphs,
@@ -28,9 +24,7 @@ from .graphs import (
     graph_embeds,
     graph_injections,
     in_class,
-    longest_simple_path_length,
     max_degree,
-    multiset_embeds,
     single_vertex,
 )
 from .modelfile import (
@@ -43,7 +37,6 @@ from .modelfile import (
     parse_model,
 )
 from .order import (
-    OrderedSpace,
     ResourceExhausted,
     ResourceLimits,
     Verdict,
@@ -62,7 +55,6 @@ from .pushdown import (
 )
 from .rbn import (
     QueryRecord,
-    RbnResult,
     SaturationTrace,
     SweepRecord,
     rbn_coverable,
@@ -81,7 +73,6 @@ from .static_cover import (
     GraphSpace,
     diam_deg_coverable,
     static_coverable,
-    static_pre_basis,
     static_witness_run,
 )
 from .vass import (

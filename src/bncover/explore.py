@@ -21,6 +21,7 @@ from .graphs import (
     Graph,
     LabelledGraph,
     Reconfigurable,
+    SelfLoopError,
     TopologyClass,
     enumerate_graphs,
     in_class,
@@ -32,10 +33,6 @@ _sort_key = attrgetter("sort_key")
 
 # a search that would record more states than this raises ResourceExhausted
 MAX_STATES = 250_000
-
-
-class SelfLoopError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -85,10 +82,8 @@ def bn_step(spec, theta: LabelledGraph, vertex: int, letter: str) -> tuple[Label
 
 
 def reconfigure(theta: LabelledGraph, new_edges) -> LabelledGraph:
-    """Same vertices and labels over a replaced edge set."""
-    for a, b in new_edges:
-        if a == b:
-            raise SelfLoopError(f"self loop at vertex {a}")
+    """Same vertices and labels over a replaced edge set; a self loop
+    raises :class:`SelfLoopError`."""
     return LabelledGraph(theta.n, frozenset(tuple(e) for e in new_edges), theta.labels)
 
 

@@ -24,11 +24,15 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from .order import ResourceExhausted
 
 
+class SelfLoopError(ValueError):
+    pass
+
+
 def _normalize_edges(n: int, edges) -> frozenset:
     out = set()
     for a, b in edges:
         if a == b:
-            raise ValueError(f"self loop at vertex {a}")
+            raise SelfLoopError(f"self loop at vertex {a}")
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"edge ({a},{b}) references a missing vertex")
         out.add((min(a, b), max(a, b)))
@@ -201,31 +205,6 @@ def graph_injections(small: Graph, large: Graph) -> Iterator[tuple[int, ...]]:
     yield from backtrack(0, 0)
 
 
-def longest_simple_path_length(g: Graph) -> int:
-    """Exact maximum number of edges on a simple path, by backtracking."""
-    best = 0
-    adj = g.neighborhoods
-    visited = [False] * g.n
-
-    def dfs(v: int, length: int):
-        nonlocal best
-        if length > best:
-            best = length
-        for w in adj[v]:
-            if not visited[w]:
-                visited[w] = True
-                dfs(w, length + 1)
-                visited[w] = False
-
-    for v in range(g.n):
-        if best == g.n - 1:
-            break
-        visited[v] = True
-        dfs(v, 0)
-        visited[v] = False
-    return best
-
-
 def _path_from(adj: Sequence[int], v: int, length: int, used: int) -> bool:
     """Whether a simple path of ``length`` edges starts at ``v`` and avoids
     the vertices of the bitmask ``used``, which holds ``v``."""
@@ -294,29 +273,6 @@ def diameter(g: Graph) -> Union[int, float]:
 
 def max_degree(g: Graph) -> int:
     return max((g.degree(v) for v in range(g.n)), default=0)
-
-
-def multiset_embeds(m1: Sequence, m2: Sequence, leq: Callable) -> bool:
-    """Injection of multiset ``m1`` into ``m2`` with every element dominated
-    by its image, via maximum bipartite matching."""
-    m1 = list(m1)
-    m2 = list(m2)
-    if len(m1) > len(m2):
-        return False
-    options = [[j for j, b in enumerate(m2) if leq(a, b)] for a in m1]
-    matched_to: list[Optional[int]] = [None] * len(m2)
-
-    def assign(i: int, taken: set) -> bool:
-        for j in options[i]:
-            if j in taken:
-                continue
-            taken.add(j)
-            if matched_to[j] is None or assign(matched_to[j], taken):
-                matched_to[j] = i
-                return True
-        return False
-
-    return all(assign(i, set()) for i in range(len(m1)))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,11 @@ from .vass import Label, add_receives, strip_receives
 
 # composed witness runs stop here: helpers can multiply at every unlocking level
 WITNESS_NODE_CAP = 64
+# a witness search without a chain explores up to this many nodes and
+# broadcasts, pruning counter values (stack depths) above the cap
+SEARCH_NODES = 4
+SEARCH_BROADCASTS = 8
+SEARCH_COUNTER_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -152,34 +157,29 @@ def rbn_coverable(
     return RbnResult(ask(target), trace)
 
 
-def rbn_witness(
-    spec,
-    target,
-    trace: SaturationTrace,
-    max_nodes: int = 4,
-    max_depth: int = 8,
-    counter_cap: int = 8,
-    chain: Optional[tuple] = None,
-) -> Run:
+def rbn_witness(spec, target, trace: SaturationTrace, chain: Optional[tuple] = None) -> Run:
     """Concrete rewirable-network run covering ``target``, replay validated.
 
     Given ``chain``, the final query's ``Verdict.chain``, the run is
     composed from it and the trace's unlocking chains (see the module
     docstring), with no search; past :data:`WITNESS_NODE_CAP` nodes this
     raises :class:`WitnessExtractionFailed`.  Without a chain (pushdown
-    processes carry none), the bounded explorer searches up to
-    ``max_nodes`` nodes and ``max_depth`` broadcasts, and raises
+    processes carry none), the bounded explorer searches breadth-first on
+    1 up to :data:`SEARCH_NODES` nodes, each within
+    :data:`SEARCH_BROADCASTS` broadcasts, and raises
     :class:`WitnessExtractionFailed` when it finds nothing.  The positive
     verdict stands either way.
     """
     if chain is not None:
         return checked_witness(spec, target, _compose(spec, chain, trace.chains))
-    for n in range(1, max_nodes + 1):
-        run = explore(spec, Reconfigurable(), n, max_depth, target, counter_cap=counter_cap)
+    for n in range(1, SEARCH_NODES + 1):
+        run = explore(
+            spec, Reconfigurable(), n, SEARCH_BROADCASTS, target, counter_cap=SEARCH_COUNTER_CAP
+        )
         if run is not None:
             return checked_witness(spec, target, run)
     raise WitnessExtractionFailed(
-        f"no covering run within {max_nodes} nodes and {max_depth} broadcasts"
+        f"no covering run within {SEARCH_NODES} nodes and {SEARCH_BROADCASTS} broadcasts"
     )
 
 

@@ -81,14 +81,13 @@ def run_from_json(data: dict):
     steps = []
     for entry in data["steps"]:
         _expect_keys(entry, {"kind", "graph"}, optional={"vertex", "letter"})
-        steps.append(
-            RunStep(
-                entry["kind"],
-                _graph_from_json(entry["graph"]),
-                entry.get("vertex"),
-                entry.get("letter"),
-            )
-        )
+        vertex, letter = entry.get("vertex"), entry.get("letter")
+        # type(), not isinstance: a bool is an int but names no vertex
+        if vertex is not None and type(vertex) is not int:
+            raise ValueError(f"step vertex must be an integer, got {vertex!r}")
+        if letter is not None and not (isinstance(letter, str) and letter):
+            raise ValueError(f"step letter must be a nonempty string, got {letter!r}")
+        steps.append(RunStep(entry["kind"], _graph_from_json(entry["graph"]), vertex, letter))
     return tuple(steps)
 
 

@@ -34,7 +34,7 @@ frontier, so in the antichain when the round starts, and the upward closure
 of the kept elements never shrinks during the keep loop, so the loop would
 drop the candidate anyway: the kept elements, their order, the chains, the
 iteration count, the basis size and the witnesses are those of the complete
-construction.  :func:`static_pre_basis` keeps the complete set.
+construction.
 
 An embedding needs, in the larger graph, at least as many vertices, edges
 and vertices of each control state as the smaller graph has, so
@@ -79,7 +79,6 @@ from typing import Optional, Sequence
 from .explore import Run, bn_step, build_run
 from .graphs import (
     Clique,
-    ClassViolation,
     DiamDeg,
     Graph,
     LabelledGraph,
@@ -88,7 +87,6 @@ from .graphs import (
     enumerate_diam_deg_graphs,
     enumerate_extensions,
     graph_embeds,
-    in_class,
     single_vertex,
 )
 from .order import ResourceExhausted, ResourceLimits, Verdict, backward_coverability, minimize
@@ -333,18 +331,6 @@ def _extension_table(cls: TopologyClass, shape: Graph) -> tuple[tuple[Graph, tup
     # would be, so its edges iterate (and print) in that same order
     exts = (Graph(ext.n, ext.edges) for ext in enumerate_extensions(shape, cls))
     return tuple((ext, ext.neighbors(shape.n), ext.adjacency[shape.n]) for ext in exts)
-
-
-def static_pre_basis(spec, theta: LabelledGraph, cls: TopologyClass) -> tuple[LabelledGraph, ...]:
-    """Minimal predecessor graphs of the upward closure of ``theta`` one
-    broadcast step back, over every letter of the alphabet."""
-    if not in_class(theta.shape, cls):
-        raise ClassViolation(f"graph is not in class {cls}")
-    gspace = GraphSpace(spec, cls)
-    out: list[LabelledGraph] = []
-    for letter in gspace.labels:
-        out.extend(gspace.pre_graphs(theta, letter))
-    return minimize(tuple(dict.fromkeys(out)), gspace.leq)
 
 
 def static_coverable(

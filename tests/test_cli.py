@@ -172,6 +172,22 @@ def test_cli_explore_replay_round_trip(tmp_path, capsys):
     assert main(["replay", str(MODELS / "relay.bn"), "--witness", str(witness)]) == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("vertex", "0"), ("vertex", 0.0), ("vertex", True), ("letter", ""), ("letter", ["a"]),
+])
+def test_replay_rejects_malformed_step_fields(tmp_path, capsys, field, value):
+    witness = tmp_path / "run.json"
+    assert main(["explore", str(MODELS / "relay.bn"), "--nodes", "3", "--depth", "9",
+                 "--witness", str(witness)]) == 0
+    data = json.loads(witness.read_text())
+    broadcast = next(step for step in data["steps"] if step["kind"] == "broadcast")
+    broadcast[field] = value
+    witness.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["replay", str(MODELS / "relay.bn"), "--witness", str(witness)]) == 1
+    assert "error: bad witness file" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bounds, message", [
     (["--nodes", "0", "--depth", "3"], "need at least one node"),
     (["--nodes", "2", "--depth", "-1"], "depth must be nonnegative"),
@@ -229,6 +245,14 @@ def test_python_dash_m_runs_the_cli():
     assert done.returncode == 0, done.stderr
     assert "usage: bncover" in done.stdout and "verify" in done.stdout
     assert done.stderr == ""
+
+
+@pytest.mark.parametrize("command", [["relay_demo.py"], ["cross_validate.py", "--rounds", "1"]])
+def test_scripts_run_to_completion(command):
+    script = Path(__file__).parent.parent / "scripts" / command[0]
+    done = subprocess.run([sys.executable, str(script), *command[1:]],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_diff_reports_ignores_times_and_names_each_difference(relay_model, tmp_path):

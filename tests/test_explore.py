@@ -89,6 +89,8 @@ def test_reconfigure_rejects_self_loops(relay):
     g = relay_star(cfg("q0", 1), cfg("q6", 1))
     with pytest.raises(SelfLoopError):
         reconfigure(g, {(1, 1)})
+    with pytest.raises(SelfLoopError):
+        LabelledGraph(2, frozenset({(0, 1), (1, 1)}), (cfg("q0", 1), cfg("q6", 1)))
 
 
 def test_relay_q4_run_found_with_three_nodes(relay):

@@ -11,10 +11,11 @@ from networkx.algorithms import isomorphism  # noqa: E402
 
 from bncover import (  # noqa: E402
     Graph,
+    PathBounded,
     diameter,
     enumerate_diam_deg_graphs,
     enumerate_graphs,
-    longest_simple_path_length,
+    in_class,
     max_degree,
 )
 
@@ -85,7 +86,9 @@ def test_graph_measures_match_atlas():
         expected_diameter = nx.diameter(g) if nx.is_connected(g) else math.inf
         assert diameter(mine) == expected_diameter, list(g.edges())
         assert max_degree(mine) == max(deg for _, deg in g.degree())
-        assert longest_simple_path_length(mine) == longest_path_by_monomorphism(g)
+        longest = longest_path_by_monomorphism(g)
+        for k in range(1, mine.n + 1):
+            assert in_class(mine, PathBounded(k)) == (longest <= k), (list(g.edges()), k)
 
 
 def test_automorphisms_match_atlas():

@@ -99,7 +99,7 @@ def test_rewiring_never_loses_coverability(relay):
 
 def test_relay_q4_witness_is_small_and_replays(relay):
     result = rbn_coverable(relay, cfg("q4", 0))
-    run = rbn_witness(relay, cfg("q4", 0), result.trace, max_nodes=3, max_depth=6)
+    run = rbn_witness(relay, cfg("q4", 0), result.trace)
     assert run[0].graph.n <= 3
     assert len(run) - 1 <= 12
     outcome = replay(relay, run)
@@ -128,7 +128,7 @@ def test_witnesses_replay_on_random_positives():
         if not result.coverable:
             continue
         try:
-            run = rbn_witness(spec, target, result.trace, max_nodes=4, max_depth=10)
+            run = rbn_witness(spec, target, result.trace)
         except WitnessExtractionFailed:
             continue
         outcome = replay(spec, run)
@@ -139,10 +139,11 @@ def test_witnesses_replay_on_random_positives():
     assert extracted >= 10
 
 
-def test_witness_extraction_failure_keeps_verdict(relay):
+def test_witness_extraction_failure_keeps_verdict(relay, monkeypatch):
+    monkeypatch.setattr(rbn, "SEARCH_NODES", 1)
     result = rbn_coverable(relay, cfg("q4", 0))
-    with pytest.raises(WitnessExtractionFailed):
-        rbn_witness(relay, cfg("q4", 0), result.trace, max_nodes=1, max_depth=3)
+    with pytest.raises(WitnessExtractionFailed, match="within 1 nodes"):
+        rbn_witness(relay, cfg("q4", 0), result.trace)
     assert result.coverable
 
 

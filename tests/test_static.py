@@ -25,7 +25,6 @@ from bncover import (
     replay,
     single_vertex,
     static_coverable,
-    static_pre_basis,
     static_witness_run,
     vass_leq,
 )
@@ -42,6 +41,14 @@ def edge(a, b):
     return LabelledGraph(2, frozenset({(0, 1)}), (a, b))
 
 
+def complete_basis(spec, theta):
+    """Minimal predecessor graphs of ``theta`` one broadcast back under
+    ``path-bounded:2``, over every letter, from the complete construction."""
+    space = CompleteGraphSpace(spec, PathBounded(2))
+    graphs = (g for a in space.labels for g in space.pre_basis_for_label(a, (theta,)))
+    return minimize(tuple(graphs), space.leq)
+
+
 def same_graph(a, b):
     trivial = lambda x, y: (x is y) or (x == y)
     return (
@@ -56,7 +63,7 @@ def test_pre_basis_of_single_q5_hand_enumerated(relay):
     # broadcast anything while q5 sat elsewhere; attached fresh vertices
     # would force a receive into q5, which nothing provides
     theta = single_vertex(cfg("q5", 0))
-    basis = static_pre_basis(relay, theta, PathBounded(2))
+    basis = complete_basis(relay, theta)
     expected = [
         single_vertex(cfg("q3", 1)),
         edgeless(cfg("q5", 0), cfg("q0", 1)),
@@ -75,7 +82,7 @@ def test_pre_basis_without_receives_keeps_shape():
         ["x", "y"], ["x"], [("x", Label.broadcast("m"), "y")]
     )
     theta = single_vertex(VassConfig("y"))
-    basis = static_pre_basis(spec, theta, PathBounded(2))
+    basis = complete_basis(spec, theta)
     assert any(same_graph(g, single_vertex(VassConfig("x"))) for g in basis)
     for g in basis:
         if g.n == 2:
@@ -97,7 +104,7 @@ def test_emitted_graphs_reach_up_theta_in_one_step():
         if not in_class(theta.shape, PathBounded(2)):
             continue
         space = GraphSpace(spec, PathBounded(2))
-        for emitted in static_pre_basis(spec, theta, PathBounded(2)):
+        for emitted in complete_basis(spec, theta):
             ok = False
             for v in range(emitted.n):
                 for letter in spec.alphabet:
