@@ -80,7 +80,7 @@ def run_query(
                     witness = rbn_witness(spec, target, result.trace, chain=decided.chain)
                 else:
                     witness = checked_witness(spec, target, static_witness_run(spec, decided, cls))
-            except (WitnessExtractionFailed, ResourceExhausted, RuntimeError):
+            except (WitnessExtractionFailed, ResourceExhausted):
                 # a decided verdict stands without a run; an unbacked one does not
                 if unbacked:
                     verdict = VERDICT_UNKNOWN

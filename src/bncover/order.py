@@ -50,10 +50,10 @@ class OrderedSpace(Protocol):
     ``labels`` lists the transition labels in declaration order.  ``leq``
     must be reflexive and transitive, and ``pre_basis_for_label(label,
     basis)`` must return a finite basis of the one-step
-    ``label``-predecessors of the upward closure of ``basis``; it may leave
-    out predecessors that lie above an element of ``basis``.  A counter
-    process spec (:class:`~bncover.vass.VassSpec`) is such a space itself,
-    as is the graph space of a fixed-topology class
+    ``label``-predecessors of the upward closure of ``basis``; it may
+    repeat elements and leave out predecessors that lie above an element
+    of ``basis``.  A counter process spec (:class:`~bncover.vass.VassSpec`)
+    is such a space itself, as is the graph space of a fixed-topology class
     (:class:`~bncover.static_cover.GraphSpace`).
     """
 
@@ -103,12 +103,6 @@ class Verdict:
     basis: tuple
     chain: Optional[tuple] = None
 
-    @property
-    def witness_labels(self) -> Optional[tuple]:
-        if self.chain is None:
-            return None
-        return tuple(label for _, label in self.chain if label is not None)
-
 
 def backward_coverability(
     space, target, limits: Optional[ResourceLimits] = None, observer: Optional[Callable] = None
@@ -154,7 +148,6 @@ def backward_coverability(
             raise ResourceExhausted("iteration limit hit", iterations, len(antichain))
         iterations += 1
         old_set = set(antichain)
-        old_configs = tuple(entries[i][0] for i in antichain)
 
         candidates: list[int] = []
         for label in space.labels:
@@ -185,7 +178,8 @@ def backward_coverability(
         if not basis_subsumes([entries[i][0] for i in fresh], dropped, leq):
             raise AssertionError("saturation lost ground; ordered-space contract violated")
         if observer is not None:
-            observer(old_configs, tuple(entries[i][0] for i in kept))
+            old = tuple(entries[i][0] for i in antichain)
+            observer(old, tuple(entries[i][0] for i in kept))
 
         for i in fresh:
             if space.covered_by_initial(entries[i][0]):

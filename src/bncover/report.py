@@ -38,11 +38,21 @@ def _config_to_json(config) -> dict:
 
 def _config_from_json(data: dict):
     keys = set(data)
-    if keys == {"state", "counters"}:
-        return VassConfig(data["state"], tuple(data["counters"]))
-    if keys == {"state", "stack"}:
-        return PdsConfig(data["state"], data["stack"])
-    raise ValueError(f"bad configuration record: {sorted(keys)}")
+    if keys not in ({"state", "counters"}, {"state", "stack"}):
+        raise ValueError(f"bad configuration record: {sorted(keys)}")
+    state = data["state"]
+    if not (isinstance(state, str) and state):
+        raise ValueError(f"configuration state must be a nonempty string, got {state!r}")
+    if "stack" in keys:
+        stack = data["stack"]
+        if not isinstance(stack, str):
+            raise ValueError(f"configuration stack must be a string, got {stack!r}")
+        return PdsConfig(state, stack)
+    counters = data["counters"]
+    # type(), not isinstance: a bool is an int but no counter value
+    if not (isinstance(counters, list) and all(type(c) is int for c in counters)):
+        raise ValueError(f"configuration counters must be a list of integers, got {counters!r}")
+    return VassConfig(state, tuple(counters))
 
 
 def _graph_to_json(graph: LabelledGraph) -> dict:

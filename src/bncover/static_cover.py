@@ -22,19 +22,15 @@ it the verdict, the iteration count and the antichain's size, is the one
 the placements would give; only which isomorphic representative a basis,
 chain or witness holds depends on this choice.
 
-Saturation needs no predecessor already above an element of its antichain
-(Abdulla, Čerāns, Jonsson and Tsay, LICS 1996), so
-:meth:`GraphSpace.pre_basis_for_label` does not build a candidate whose
-every relabelled vertex of ``theta`` takes a label dominating its old one:
-``theta`` embeds into it by the identity.  That covers same-shape
-relabellings whose broadcaster and neighbors all dominate their old labels,
-and extensions whose receivers all do, such as every extension whose fresh
-vertex has no neighbors.  This is exact.  The parent ``theta`` is in the
-frontier, so in the antichain when the round starts, and the upward closure
-of the kept elements never shrinks during the keep loop, so the loop would
-drop the candidate anyway: the kept elements, their order, the chains, the
-iteration count, the basis size and the witnesses are those of the complete
-construction.
+Saturation needs neither a duplicate-free basis nor a predecessor above an
+element of its antichain (Abdulla, Čerāns, Jonsson and Tsay, LICS 1996):
+the parent ``theta`` is in the antichain when its round starts, and the
+keep loop rejects every candidate at or above a kept element.
+:meth:`GraphSpace.pre_graphs` skips only whole products of candidates that
+``theta`` embeds into by the identity, each settled by one test; repeats
+and single candidates above ``theta`` are left to the keep loop, so the
+kept elements, their order, the chains, the iteration count and the
+witnesses are those of the complete construction.
 
 An embedding needs, in the larger graph, at least as many vertices, edges
 and vertices of each control state as the smaller graph has, so
@@ -52,10 +48,8 @@ the vertex label alone, so every query over an equal process shares one
 store of them: per letter and vertex label (or wildcard), the broadcast
 basis, the receive basis and whether every receive entry dominates the
 label.  :meth:`GraphSpace.pre_graphs` looks up the row of each vertex of
-its graph once, and a row whose receive entries all dominate lets the
-skip above drop a whole product of receiver choices at once.  Stores are
-kept for the 64 processes used last, the bound
-:func:`~bncover.rbn.rbn_unlock` keeps its per-process work under: a
+its graph once.  Stores are kept for the 64 processes used last, the
+bound :func:`~bncover.rbn.rbn_unlock` keeps its per-process work under: a
 model's queries run back to back, so the bound costs no reuse, and a run
 over many models still holds bounded memory.
 
@@ -73,10 +67,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from typing import Optional, Sequence
 
-from .explore import Run, bn_step, build_run
+from .explore import Run, WitnessExtractionFailed, bn_step, build_run
 from .graphs import (
     Clique,
     DiamDeg,
@@ -200,16 +193,13 @@ class GraphSpace:
         )
 
     def pre_basis_for_label(self, letter: str, thetas: Sequence[LabelledGraph]):
-        """Predecessor graphs of ``thetas``, duplicates dropped but not
+        """Predecessor graphs of ``thetas``, neither deduplicated nor
         minimized: the saturation engine minimizes them against its
-        antichain, and keeps the same elements in the same order either way
-        (the earliest of order-equivalent minimal elements).  A candidate
-        that ``theta`` embeds into by the identity is left out (see the
-        module docstring)."""
+        antichain (see the module docstring)."""
         out: list[LabelledGraph] = []
         for theta in thetas:
             out.extend(self.pre_graphs(theta, letter, skip_above=True))
-        return tuple(dict.fromkeys(out))
+        return tuple(out)
 
     # -- predecessor construction -----------------------------------------
 
@@ -228,11 +218,11 @@ class GraphSpace:
         keeps edges, non-edges and every other label, so it carries
         ``theta`` into that successor graph.
 
-        With ``skip_above``, a candidate whose every relabelled vertex of
-        ``theta`` takes a label dominating its old one is not built:
-        ``theta`` embeds into it by the identity.  A whole product of
-        receiver choices is skipped when its broadcaster's label dominates
-        and every receiver's whole receive basis does."""
+        With ``skip_above``, a whole product of receiver choices is not
+        built when every receiver's whole receive basis dominates its label
+        and, in a relabelling, the broadcaster's new label dominates its
+        old one: ``theta`` embeds into each of its candidates by the
+        identity."""
         store = self._pre_rows.get(letter)
         if store is None:
             store = self._pre_rows[letter] = _LetterRows(self.spec, letter)
@@ -252,14 +242,11 @@ class GraphSpace:
                 continue
             all_up = skip_above and not adjacency[v] & mixed
             for cv, cv_up in sends:
-                above = skip_above and cv_up
-                if above and all_up:
+                if cv_up and all_up:
                     continue
                 for combo in itertools.product(*receiver_bases):
-                    if above and all(map(_dominates, combo)):
-                        continue
                     patch = {v: cv}
-                    for u, (cu, _) in zip(nbrs, combo):
+                    for u, cu in zip(nbrs, combo):
                         patch[u] = cu
                     emitted.append(theta.with_labels(patch))
 
@@ -274,25 +261,19 @@ class GraphSpace:
                     continue
                 for cv, _ in enabling:
                     for combo in itertools.product(*receiver_bases):
-                        if skip_above and all(map(_dominates, combo)):
-                            continue
                         labels = [*theta.labels, cv]
-                        for u, (cu, _) in zip(nbrs, combo):
+                        for u, cu in zip(nbrs, combo):
                             labels[u] = cu
                         emitted.append(ext.labelled(tuple(labels)))
         return tuple(emitted)
 
 
-# whether a basis entry dominates its label
-_dominates = operator.itemgetter(1)
-
-
 class _LetterRows(dict):
     """Predecessor rows of one letter of a process, by vertex label (or
     wildcard), each built on its first lookup: the label's ``!!letter``
-    basis and its ``??letter`` basis, each configuration paired with
-    whether it dominates the label, and whether every configuration of the
-    receive basis does."""
+    basis, each configuration paired with whether it dominates the label,
+    its ``??letter`` basis, and whether every configuration of that basis
+    dominates the label."""
 
     def __init__(self, spec, letter: str):
         super().__init__()
@@ -300,17 +281,16 @@ class _LetterRows(dict):
         self.labels = (Label.broadcast(letter), Label.receive(letter))
 
     def __missing__(self, value):
-        bases = []
-        for label in self.labels:
-            if value is WILDCARD:
-                configs = self.spec.min_enabling(label)
-            else:
-                configs = self.spec.pre_basis_for_label(label, (value,))
-            bases.append(
-                tuple((c, value is WILDCARD or self.spec.leq(value, c)) for c in configs)
-            )
-        sends, receives = bases
-        row = self[value] = (sends, receives, all(map(_dominates, receives)))
+        def above(c):
+            return value is WILDCARD or self.spec.leq(value, c)
+
+        sends, receives = (
+            self.spec.min_enabling(label)
+            if value is WILDCARD
+            else self.spec.pre_basis_for_label(label, (value,))
+            for label in self.labels
+        )
+        row = self[value] = (tuple((c, above(c)) for c in sends), receives, all(map(above, receives)))
         return row
 
 
@@ -427,7 +407,9 @@ def static_witness_run(spec, verdict: Verdict, cls: TopologyClass) -> Run:
     The verdict chain descends from an initially-coverable basis graph to
     the seeded target graph; replaying forward from a dominating
     all-initial labelling, one broadcast per chain link, yields a legal
-    run whose final graph covers the target.
+    run whose final graph covers the target.  On a process that is not
+    receive-total a link may find no step; then it raises
+    :class:`WitnessExtractionFailed`.
     """
     if not verdict.coverable or verdict.chain is None:
         raise ValueError("a witness run needs a positive verdict with a chain")
@@ -454,7 +436,7 @@ def static_witness_run(spec, verdict: Verdict, cls: TopologyClass) -> Run:
             None,
         )
         if found is None:
-            raise RuntimeError(
+            raise WitnessExtractionFailed(
                 "chain replay failed; the process is likely not receive-total"
             )
         v, current = found

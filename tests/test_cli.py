@@ -16,6 +16,7 @@ from bncover import (
     QueryReport,
     Reconfigurable,
     Report,
+    WitnessExtractionFailed,
     cli,
     complete_receives,
     parse_model,
@@ -27,6 +28,8 @@ from bncover import (
     run_from_json,
     run_queries,
     run_to_json,
+    static_coverable,
+    static_witness_run,
 )
 from bncover.cli import main
 from bncover.order import ResourceExhausted, ResourceLimits
@@ -172,20 +175,40 @@ def test_cli_explore_replay_round_trip(tmp_path, capsys):
     assert main(["replay", str(MODELS / "relay.bn"), "--witness", str(witness)]) == 1
 
 
-@pytest.mark.parametrize("field, value", [
-    ("vertex", "0"), ("vertex", 0.0), ("vertex", True), ("letter", ""), ("letter", ["a"]),
-])
-def test_replay_rejects_malformed_step_fields(tmp_path, capsys, field, value):
+def _replay_edited_witness(tmp_path, capsys, edit):
+    """Exit status and stderr of ``bncover replay`` on an explorer witness of
+    the relay model whose first broadcast step ``edit`` has changed."""
     witness = tmp_path / "run.json"
     assert main(["explore", str(MODELS / "relay.bn"), "--nodes", "3", "--depth", "9",
                  "--witness", str(witness)]) == 0
     data = json.loads(witness.read_text())
-    broadcast = next(step for step in data["steps"] if step["kind"] == "broadcast")
-    broadcast[field] = value
+    edit(next(step for step in data["steps"] if step["kind"] == "broadcast"))
     witness.write_text(json.dumps(data))
     capsys.readouterr()
-    assert main(["replay", str(MODELS / "relay.bn"), "--witness", str(witness)]) == 1
-    assert "error: bad witness file" in capsys.readouterr().err
+    return main(["replay", str(MODELS / "relay.bn"), "--witness", str(witness)]), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("vertex", "0"), ("vertex", 0.0), ("vertex", True), ("letter", ""), ("letter", ["a"]),
+])
+def test_replay_rejects_malformed_step_fields(tmp_path, capsys, field, value):
+    code, err = _replay_edited_witness(tmp_path, capsys, lambda step: step.update({field: value}))
+    assert code == 1
+    assert "error: bad witness file" in err
+
+
+@pytest.mark.parametrize("label", [
+    {"state": ["q0"], "counters": [0]}, {"state": 0, "counters": [0]}, {"state": "", "counters": [0]},
+    {"state": "q0", "counters": [1.0]}, {"state": "q0", "counters": [True]},
+    {"state": "q0", "counters": 0}, {"state": "q0", "stack": 0}, {"state": "q0", "stack": ["A"]},
+])
+def test_replay_rejects_malformed_labels(tmp_path, capsys, label):
+    def edit(step):
+        step["graph"]["labels"][0] = label
+
+    code, err = _replay_edited_witness(tmp_path, capsys, edit)
+    assert code == 1
+    assert "error: bad witness file" in err
 
 
 @pytest.mark.parametrize("bounds, message", [
@@ -388,6 +411,19 @@ def test_no_unbacked_coverable_on_processes_that_are_not_receive_total(name):
     assert [r.semantics for r in report.results] == ["path-bounded:2", "clique"]
     rows = [(r.semantics, r.verdict, r.witness) for r in report.results]
     assert rows == [("path-bounded:2", "unknown", None), ("clique", "unknown", None)]
+
+
+@pytest.mark.parametrize("name", sorted(NOT_RECEIVE_TOTAL))
+def test_static_witness_run_fails_as_witness_extraction(name):
+    # the one failure type run_query turns into unknown; a RuntimeError
+    # (a RecursionError, say) is not caught there
+    model = parse_model(NOT_RECEIVE_TOTAL[name])
+    spec = model.process
+    for query in model.queries:
+        verdict = static_coverable(spec, query.target(spec), query.topology)
+        assert verdict.coverable
+        with pytest.raises(WitnessExtractionFailed, match="chain replay failed"):
+            static_witness_run(spec, verdict, query.topology)
 
 
 @pytest.mark.parametrize("name", sorted(NOT_RECEIVE_TOTAL))

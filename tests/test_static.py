@@ -543,7 +543,8 @@ def test_saturation_matches_the_one_over_every_placement():
             return _reference_pre_graphs(self.spec, self.cls, theta, letter)
 
     def summary(verdict):
-        return (verdict.coverable, verdict.iterations, len(verdict.basis), verdict.witness_labels)
+        labels = None if verdict.chain is None else tuple(l for _, l in verdict.chain if l is not None)
+        return (verdict.coverable, verdict.iterations, len(verdict.basis), labels)
 
     rng = random.Random(171)
     positives = negatives = 0
