@@ -7,7 +7,7 @@
 Exit status: 0 when every query completed, 2 when some query exhausted its
 resource limits (for ``explore``, its state budget: the remaining queries
 still run and the first run found is still written) or, for ``verify``, got
-the verdict ``unknown``, 1 on input errors (and on a failed replay).
+the verdict ``unknown``, 1 on bad input, a failed replay or a failed write.
 
 A fixed-topology positive is sound on a receive-total process.  On any
 other process ``verify`` keeps it only when a witness run is built that
@@ -140,6 +140,18 @@ def _load_model(path: str):
         return None
 
 
+def _write(path: str, text: str, what: str) -> bool:
+    """Write ``text`` to ``path`` and say so, or say why not and return False."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    print(f"{what} written to {path}")
+    return True
+
+
 def _cmd_verify(args) -> int:
     model = _load_model(args.model)
     if model is None:
@@ -147,10 +159,8 @@ def _cmd_verify(args) -> int:
     report = run_queries(model, args.model, _with_caps(ResourceLimits(), args), args.witness)
     for r in report.results:
         print(f"query {r.index}: cover {r.target_text} [{r.semantics}] -> {r.verdict} ({r.time_s:.3f}s)")
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(report_to_json(report))
-        print(f"report written to {args.report}")
+    if args.report and not _write(args.report, report_to_json(report), "report"):
+        return 1
     if any(r.verdict in (VERDICT_EXHAUSTED, VERDICT_UNKNOWN) for r in report.results):
         return 2
     return 0
@@ -193,9 +203,8 @@ def _cmd_explore(args) -> int:
             if found is None:
                 found = run
     if found is not None and args.witness:
-        with open(args.witness, "w") as fh:
-            fh.write(json_text(run_to_json(found), "steps"))
-        print(f"witness written to {args.witness}")
+        if not _write(args.witness, json_text(run_to_json(found), "steps"), "witness"):
+            return 1
     return status
 
 

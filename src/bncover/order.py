@@ -49,11 +49,11 @@ class OrderedSpace(Protocol):
 
     ``labels`` lists the transition labels in declaration order.  ``leq``
     must be reflexive and transitive, and ``pre_basis_for_label(label,
-    basis)`` must return a finite basis of the one-step
-    ``label``-predecessors of the upward closure of ``basis``; it may
-    repeat elements and leave out predecessors that lie above an element
-    of ``basis``.  A counter process spec (:class:`~bncover.vass.VassSpec`)
-    is such a space itself, as is the graph space of a fixed-topology class
+    basis)`` must return a finite basis, not necessarily minimal, of the
+    one-step ``label``-predecessors of the upward closure of ``basis``; it
+    may leave out predecessors that lie above an element of ``basis``.  A
+    counter process spec (:class:`~bncover.vass.VassSpec`) is such a space
+    itself, as is the graph space of a fixed-topology class
     (:class:`~bncover.static_cover.GraphSpace`).
     """
 
@@ -109,19 +109,16 @@ def backward_coverability(
 ) -> Verdict:
     """Decide whether a reachable configuration of ``space`` dominates ``target``.
 
-    Starting from the upward closure of ``target``, repeatedly adds the
-    predecessor basis of the newest elements, minimizing after every round
-    and recording which (label, parent) pair introduced each kept element.
-    Stops as soon as a kept element is dominated by an initial
-    configuration, or when a round adds nothing new.  Label order and
-    basis insertion order are fixed, so runs are reproducible.  Each parent
-    is in the antichain when its round starts, and the antichain's upward
-    closure only grows, so ``space.pre_basis_for_label`` may leave out the
-    predecessors above an element of the basis it is given: they would be
-    dropped anyway.
+    Starting from the upward closure of ``target``, each round compares the
+    predecessors of the newest elements, in label and basis order, with the
+    antichain as they come, keeping the minimal ones with the (label,
+    parent) pair that introduced each.  Stops as soon as a kept element is
+    dominated by an initial configuration, or when a round keeps nothing
+    new.  A predecessor above an element of the antichain is never kept, so
+    ``space.pre_basis_for_label`` may leave it out.
 
     ``observer``, when given, is called as ``observer(old_basis, new_basis)``
-    after every round's minimization, for instrumentation.
+    after every round, for instrumentation.
     """
     limits = limits or ResourceLimits()
     leq = space.leq
@@ -147,31 +144,25 @@ def backward_coverability(
         if iterations >= limits.max_iters:
             raise ResourceExhausted("iteration limit hit", iterations, len(antichain))
         iterations += 1
-        old_set = set(antichain)
+        start = len(entries)  # entries from here on are this round's
 
-        candidates: list[int] = []
+        # each predecessor is compared, as it comes, with what is kept so
+        # far; the old antichain is pairwise incomparable and needs no check
+        kept = list(antichain)
         for label in space.labels:
             for parent in frontier:
                 for config in space.pre_basis_for_label(label, (entries[parent][0],)):
+                    if any(leq(entries[k][0], config) for k in kept):
+                        continue
+                    kept = [k for k in kept if not leq(config, entries[k][0])]
+                    kept.append(len(entries))
                     entries.append((config, label, parent))
-                    candidates.append(len(entries) - 1)
-
-        # the old antichain is pairwise incomparable, so only the new
-        # candidates need comparing, against it and against each other
-        kept = list(antichain)
-        for i in candidates:
-            ci = entries[i][0]
-            if any(leq(entries[k][0], ci) for k in kept):
-                continue
-            kept = [k for k in kept if not leq(ci, entries[k][0])]
-            kept.append(i)
 
         if len(kept) > limits.max_basis:
             raise ResourceExhausted("basis size limit hit", iterations, len(kept))
 
-        kept_set = set(kept)
-        fresh = [i for i in kept if i not in old_set]
-        dropped = [entries[i][0] for i in antichain if i not in kept_set]
+        fresh = [i for i in kept if i >= start]
+        dropped = [entries[i][0] for i in set(antichain).difference(kept)]
         # saturation only ever grows upward; losing ground means the order
         # or the pre-basis of the space is broken.  A dropped old element can
         # only be covered by a fresh one, the old ones being incomparable.

@@ -103,7 +103,6 @@ def rbn_unlock(spec, limits: Optional[ResourceLimits] = None) -> tuple[Saturatio
     current = strip_receives(spec)
     remaining = list(spec.alphabet)
     sweeps: list[SweepRecord] = []
-    unlocked_all: list[str] = []
     chains: dict = {}
 
     while True:
@@ -122,16 +121,12 @@ def rbn_unlock(spec, limits: Optional[ResourceLimits] = None) -> tuple[Saturatio
                     remaining.remove(letter)
                     break
         sweeps.append(SweepRecord(tuple(unlocked), tuple(queries)))
-        unlocked_all.extend(unlocked)
-        added_transitions = False
         for letter in unlocked:
-            if spec.has_receives(letter):
-                added_transitions = True
             current = add_receives(current, letter)
-        if not added_transitions:
+        if not any(map(spec.has_receives, unlocked)):
             break
 
-    return SaturationTrace(tuple(sweeps), frozenset(unlocked_all), chains), current
+    return SaturationTrace(tuple(sweeps), frozenset(chains), chains), current
 
 
 @lru_cache(maxsize=64)

@@ -65,9 +65,15 @@ def _graph_to_json(graph: LabelledGraph) -> dict:
 
 def _graph_from_json(data: dict) -> LabelledGraph:
     _expect_keys(data, {"vertices", "edges", "labels"})
+    n, edges = data["vertices"], data["edges"]
+    # type(), not isinstance: a bool is an int but no vertex count or vertex
+    if type(n) is not int or not (isinstance(edges, list) and all(
+        isinstance(e, list) and len(e) == 2 and all(type(u) is int for u in e) for e in edges
+    )):
+        raise ValueError(f"graph vertices must be an integer and edges integer pairs: {data!r}")
     return LabelledGraph(
-        data["vertices"],
-        frozenset(tuple(e) for e in data["edges"]),
+        n,
+        frozenset(tuple(e) for e in edges),
         tuple(_config_from_json(l) for l in data["labels"]),
     )
 

@@ -270,10 +270,10 @@ class GraphSpace:
 
 class _LetterRows(dict):
     """Predecessor rows of one letter of a process, by vertex label (or
-    wildcard), each built on its first lookup: the label's ``!!letter``
-    basis, each configuration paired with whether it dominates the label,
-    its ``??letter`` basis, and whether every configuration of that basis
-    dominates the label."""
+    wildcard), each built on its first lookup: the label's minimal
+    ``!!letter`` predecessors, each paired with whether it dominates the
+    label, its minimal ``??letter`` predecessors, and whether all of those
+    dominate the label."""
 
     def __init__(self, spec, letter: str):
         super().__init__()
@@ -287,7 +287,7 @@ class _LetterRows(dict):
         sends, receives = (
             self.spec.min_enabling(label)
             if value is WILDCARD
-            else self.spec.pre_basis_for_label(label, (value,))
+            else minimize(self.spec.pre_basis_for_label(label, (value,)), self.spec.leq)
             for label in self.labels
         )
         row = self[value] = (tuple((c, above(c)) for c in sends), receives, all(map(above, receives)))

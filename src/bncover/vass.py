@@ -290,12 +290,10 @@ def vass_successors(spec: VassSpec, config: VassConfig, label: Label) -> tuple[V
 
 
 def vass_pre_basis(spec: VassSpec, label: Label, basis: Sequence[VassConfig]) -> tuple[VassConfig, ...]:
-    """Minimal configurations with a ``label`` transition into the upward
-    closure of ``basis``.
-
-    For a transition with update ``v`` into ``(q, u)``-or-above, the least
-    firing counters are ``max(u - v, -v, 0)`` componentwise.
-    """
+    """Unminimized basis of the configurations with a ``label`` transition
+    into the upward closure of ``basis``: per transition with update ``v``
+    into the state of an element ``(q, u)``, its source with the least
+    firing counters ``max(u - v, -v, 0)`` componentwise."""
     out = []
     for t in spec.by_label.get(label, ()):
         for c in basis:
@@ -303,7 +301,7 @@ def vass_pre_basis(spec: VassSpec, label: Label, basis: Sequence[VassConfig]) ->
                 continue
             w = tuple(max(u - v, -v, 0) for u, v in zip(c.counters, t.delta))
             out.append(VassConfig(t.source, w))
-    return minimize(out, vass_leq)
+    return tuple(out)
 
 
 def strip_receives(spec):

@@ -211,6 +211,32 @@ def test_replay_rejects_malformed_labels(tmp_path, capsys, label):
     assert "error: bad witness file" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("vertices", 3.0), ("vertices", True), ("vertices", "3"), ("edges", [[0, 1.0]]),
+    ("edges", [[0, True]]), ("edges", [[0, 1, 2]]), ("edges", [0, 1]), ("edges", "01"),
+])
+def test_replay_rejects_malformed_graph_fields(tmp_path, capsys, field, value):
+    def edit(step):
+        step["graph"][field] = value
+
+    code, err = _replay_edited_witness(tmp_path, capsys, edit)
+    assert code == 1
+    assert "error: bad witness file" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", str(MODELS / "relay.bn"), "--report"],
+    ["explore", str(MODELS / "relay.bn"), "--nodes", "3", "--depth", "9", "--witness"],
+])
+def test_unwritable_output_is_an_error_after_the_verdicts(tmp_path, capsys, command):
+    path = tmp_path / "missing" / "out.json"
+    assert main([*command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.out.startswith("query 0: ")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("bounds, message", [
     (["--nodes", "0", "--depth", "3"], "need at least one node"),
     (["--nodes", "2", "--depth", "-1"], "depth must be nonnegative"),
@@ -303,6 +329,28 @@ def test_diff_reports_ignores_times_and_names_each_difference(relay_model, tmp_p
     assert "result 0" in differs.stdout and "iterations" in differs.stdout
     (tmp_path / "empty").mkdir()
     assert diff("empty", "empty").returncode == 2
+
+
+def test_bench_pairs_summary_counts_wins_and_flags_bad_runs():
+    import importlib.util
+
+    path = Path(__file__).parent.parent / "scripts" / "bench_pairs.py"
+    loader = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench_pairs = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(bench_pairs)
+
+    def line(wall, rss, correct=True, failed=0):
+        metrics = {"wall_s": {"value": wall, "unit": "s"},
+                   "peak_rss_mib": {"value": rss, "unit": "MiB"}}
+        return json.dumps({"correct": correct, "attempted": 3, "failed": failed, "metrics": metrics})
+
+    pairs = [(line(1.0, 50), line(0.9, 50)), (line(2.0, 50), line(1.5, 51)),
+             (line(3.0, 50), line(3.5, 50, correct=False, failed=1))]
+    assert bench_pairs.summary(pairs) == [
+        "FLAGGED pair 2 tree B: correct False, failed 1",
+        "wall_s: A 2 [1.5, 2.5] (1-3)  B 1.5 [1.2, 2.5] (0.9-3.5)  B lower in 2 of 3",
+        "peak_rss_mib: A 50 [50, 50] (50-50)  B 50 [50, 50.5] (50-51)  B lower in 0 of 3",
+    ]
 
 
 def test_dump_results_writes_each_decider_result_and_witness():

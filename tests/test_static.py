@@ -466,7 +466,7 @@ def _reference_pre_graphs(spec, cls, theta, letter):
     def vertex_pre(label_value, label):
         if label_value is WILDCARD:
             return spec.min_enabling(label)
-        return spec.pre_basis_for_label(label, (label_value,))
+        return minimize(spec.pre_basis_for_label(label, (label_value,)), vass_leq)
 
     def reaches(before, v):
         return any(
