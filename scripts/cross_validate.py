@@ -19,7 +19,9 @@ of predecessor graphs its parent embeds into by the identity and whose
 order compares packed vertex, edge and per-state counts before it
 searches for an embedding, against one that keeps every graph of the
 construction and against one that runs the embedding search for every
-test.
+test, and the deciders along the inclusions of topology classes, on
+processes that are receive-total and processes that are not: a positive
+over a class must be a positive over every class containing it.
 """
 
 import argparse
@@ -307,6 +309,70 @@ def _same_fixed_topology_verdicts(rng, rounds, oracle_space):
     return checks, 0
 
 
+# (smaller, larger) topology classes: a graph on at most n vertices has no
+# simple path longer than n-1 edges, a path bound or vertex cap only
+# admits more graphs as it grows, and rewiring may leave every link as it is
+LATTICE_INCLUSIONS = (
+    (DiamDeg(1, 2, 2), PathBounded(1)),
+    (DiamDeg(2, 2, 3), PathBounded(2)),
+    (DiamDeg(2, 3, 4), PathBounded(3)),
+    (PathBounded(1), PathBounded(2)),
+    (PathBounded(2), PathBounded(3)),
+    (DiamDeg(1, 2, 2), DiamDeg(1, 2, 3)),
+    (DiamDeg(2, 2, 3), DiamDeg(2, 2, 4)),
+    (PathBounded(3), Reconfigurable()),
+    (Clique(), Reconfigurable()),
+    (DiamDeg(2, 2, 4), Reconfigurable()),
+    (DiamDeg(2, 3, 4), Reconfigurable()),
+)
+
+
+def sweep_class_lattice(rng, rounds):
+    """On counter models, receive-total or not, a positive over a topology
+    class is a positive over every class containing it
+    (:data:`LATTICE_INCLUSIONS`).  Each class is decided by its own
+    decider, with no shortcut through a larger class: ``diam_deg_coverable``
+    for diam-deg, ``static_coverable`` for path-bounded and clique,
+    ``rbn_coverable`` for rbn.  Counts one check per inclusion whose two
+    queries were decided, and skips those where either ran out of its
+    limits.  Prints every contradiction, then fails."""
+    limits = ResourceLimits(max_basis=300, max_iters=20)
+
+    def decide(spec, target, cls):
+        try:
+            if isinstance(cls, DiamDeg):
+                return diam_deg_coverable(spec, target, cls.k, cls.d, cls.n_max, limits).coverable
+            if isinstance(cls, Reconfigurable):
+                return rbn_coverable(spec, target, limits).coverable
+            return static_coverable(spec, target, cls, limits).coverable
+        except ResourceExhausted:
+            return None
+
+    checks = skipped = 0
+    contradictions = []
+    for i in range(rounds):
+        spec = random_receive_total(rng) if i % 2 else random_vass(
+            rng, max_states=4, max_dim=2, max_trans=10, letters="ab")
+        for state in spec.states:
+            target = VassConfig(state, tuple(rng.choice((0, 1)) for _ in range(spec.dim)))
+            verdicts = {}
+            for small, large in LATTICE_INCLUSIONS:
+                for cls in (small, large):
+                    if cls not in verdicts:
+                        verdicts[cls] = decide(spec, target, cls)
+                if verdicts[small] is None or verdicts[large] is None:
+                    skipped += 1
+                elif verdicts[small] and not verdicts[large]:
+                    contradictions.append(
+                        f"coverable under {small}, not under {large}: {spec} {target}")
+                else:
+                    checks += 1
+    for line in contradictions:
+        print(f"  contradiction: {line}")
+    assert not contradictions, f"{len(contradictions)} lattice contradictions"
+    return checks, skipped
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rounds", type=int, default=100)
@@ -325,6 +391,7 @@ def main():
         ("fixed-topology positive vs replay, not receive-total", sweep_unbacked_static_positives),
         ("fixed-topology skipping vs complete predecessors", sweep_static_skipping_vs_complete),
         ("fixed-topology key prefilter vs plain embedding order", sweep_static_key_vs_plain_order),
+        ("topology class lattice", sweep_class_lattice),
     ]:
         agreed, skipped = sweep(rng, args.rounds)
         note = f", {skipped} skipped" if skipped else ""

@@ -9,7 +9,8 @@ its neighbors, or by extending the graph with one fresh broadcasting
 vertex attached in every class-admissible way.  Both constructions draw
 the relabelled vertices from per-vertex predecessor bases of the process,
 so every candidate has a joint successor labelling that dominates the
-original graph.
+original graph.  Diam-deg classes are decided shape by shape, unless
+``path-bounded:n-1``, which contains the class, settles a negative first.
 
 The fresh vertex is always ``theta.n`` and ``theta`` keeps its own vertex
 numbers; no other placement of ``theta`` inside an extension is built.
@@ -326,13 +327,25 @@ def static_coverable(
     Saturates backward from the one-vertex graph labelled ``target``; the
     answer is positive exactly when a basis graph has every vertex label
     dominated by an initial configuration (it then sits below an
-    all-initial graph of the same class shape).  A diam-deg class, which
-    must carry its vertex cap, is decided shape by shape instead
-    (:func:`diam_deg_coverable`).
+    all-initial graph of the same class shape).
+
+    A diam-deg class, which must carry its vertex cap ``n``, lies inside
+    ``path-bounded:max(1, n-1)``: a graph on at most ``n`` vertices has no
+    longer simple path.  Every run of the smaller class is a run of the
+    larger, so that class is decided first, and its negative is returned.
+    Only when it is positive, or runs out of its limits, is the diam-deg
+    class decided shape by shape (:func:`diam_deg_coverable`).
     """
     if isinstance(cls, DiamDeg):
         if cls.n_max is None:
             raise ValueError("deciding a diam-deg class needs its vertex cap n_max")
+        wider = PathBounded(max(1, cls.n_max - 1))
+        try:
+            verdict = static_coverable(spec, target, wider, limits, observer)
+            if not verdict.coverable:
+                return verdict
+        except ResourceExhausted:
+            pass
         return diam_deg_coverable(spec, target, cls.k, cls.d, cls.n_max, limits, observer)
     if not isinstance(cls, (PathBounded, Clique)):
         raise ValueError(

@@ -19,6 +19,7 @@ from bncover import (
     WitnessExtractionFailed,
     cli,
     complete_receives,
+    diam_deg_coverable,
     parse_model,
     process,
     pushdown,
@@ -57,28 +58,38 @@ def test_run_queries_reports_exhaustion_distinctly(relay_model):
         assert (r.iterations, r.basis_size) == (1, 2)
 
 
-def _relay_with_query(semantics: str):
+def _relay_with_query(semantics: str, state: str = "q4"):
     lines = [
         line for line in (MODELS / "relay.bn").read_text().splitlines()
         if not line.startswith("query")
     ]
-    lines.append(f"query cover state=q4 vector=(0) semantics={semantics}")
+    lines.append(f"query cover state={state} vector=(0) semantics={semantics}")
     return parse_model("\n".join(lines) + "\n")
 
 
-def test_exhausted_diam_deg_query_counts_the_shapes_already_decided():
+def test_exhausted_diam_deg_query_counts_the_shapes_already_decided(relay):
+    # path-bounded:2 settles the query; the shape loop alone takes 12 iterations
     model = _relay_with_query("diam-deg:2,2,3")
     decided = run_queries(model, "relay").results[0]
-    assert (decided.verdict, decided.iterations) == ("not-coverable", 12)
+    assert (decided.verdict, decided.iterations) == ("not-coverable", 4)
+    assert diam_deg_coverable(relay, model.queries[0].target(relay), 2, 2, 3).iterations == 12
+    # under 2 iterations path-bounded:2 runs out too, so the shape loop runs:
     # one saturation stops at 2 iterations; the shapes decided before it add 3
     row = run_queries(model, "relay", ResourceLimits(max_iters=2)).results[0]
     assert (row.verdict, row.iterations, row.basis_size) == ("resource-exhausted", 5, 3)
 
 
 def test_exhausted_without_a_saturation_reports_no_statistics():
-    # the shape enumeration refuses 9 vertices before any saturation runs
-    row = run_queries(_relay_with_query("diam-deg:2,2,9"), "relay").results[0]
+    # q5 is coverable under path-bounded:8, so the shape loop runs, and the
+    # shape enumeration refuses 9 vertices before any saturation runs
+    row = run_queries(_relay_with_query("diam-deg:2,2,9", "q5"), "relay").results[0]
     assert (row.verdict, row.iterations, row.basis_size) == ("resource-exhausted", None, None)
+
+
+def test_a_path_bounded_negative_decides_diam_deg_past_eight_vertices():
+    # path-bounded:8 contains diam-deg:2,2,9 and settles q4 without the shapes
+    row = run_queries(_relay_with_query("diam-deg:2,2,9"), "relay").results[0]
+    assert (row.verdict, row.iterations, row.basis_size) == ("not-coverable", 7, 23)
 
 
 def test_witness_search_out_of_budget_keeps_the_verdict(relay_model, monkeypatch, capsys):
@@ -351,6 +362,33 @@ def test_bench_pairs_summary_counts_wins_and_flags_bad_runs():
         "wall_s: A 2 [1.5, 2.5] (1-3)  B 1.5 [1.2, 2.5] (0.9-3.5)  B lower in 2 of 3",
         "peak_rss_mib: A 50 [50, 50] (50-50)  B 50 [50, 50.5] (50-51)  B lower in 0 of 3",
     ]
+
+
+def _cross_validate():
+    import importlib.util
+
+    path = Path(__file__).parent.parent / "scripts" / "cross_validate.py"
+    loader = importlib.util.spec_from_file_location("cross_validate", path)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
+
+
+def test_class_lattice_sweep_agrees():
+    checks, skipped = _cross_validate().sweep_class_lattice(random.Random(1), 6)
+    assert checks >= 200 and skipped == 0
+
+
+def test_class_lattice_sweep_fails_when_path_bounded_predecessors_are_lost(monkeypatch):
+    # pre_graphs without its extension candidates misses the predecessors
+    # that add a vertex; the shapes of diam-deg never extend, so only the
+    # path-bounded and clique verdicts go wrong, and the lattice sees it
+    from bncover import static_cover
+
+    sweep = _cross_validate().sweep_class_lattice
+    monkeypatch.setattr(static_cover, "_extension_table", lambda cls, shape: ())
+    with pytest.raises(AssertionError, match="lattice contradictions"):
+        sweep(random.Random(1), 6)
 
 
 def test_dump_results_writes_each_decider_result_and_witness():

@@ -12,6 +12,8 @@ from bncover import (
     LabelledGraph,
     PathBounded,
     PushdownSpec,
+    ResourceExhausted,
+    ResourceLimits,
     VassConfig,
     backward_coverability,
     bn_step,
@@ -695,3 +697,59 @@ def test_saturation_is_the_same_when_predecessors_above_the_parent_are_built(mon
     assert sum(v.coverable for v in skipping) >= 20
     assert sum(not v.coverable for v in skipping) >= 20
     assert built["complete"] - built["skipping"] >= 500  # the skip is not idle
+
+
+def test_a_path_bounded_negative_settles_diam_deg_without_the_shapes(relay, monkeypatch):
+    # diam-deg:2,3,6 lies inside path-bounded:5, which refutes q4 at once
+    from bncover import static_cover
+
+    def shape_loop(*args, **kwargs):
+        raise AssertionError("the shape loop ran")
+
+    monkeypatch.setattr(static_cover, "diam_deg_coverable", shape_loop)
+    verdict = static_coverable(relay, cfg("q4", 0), DiamDeg(2, 3, 6))
+    wider = static_coverable(relay, cfg("q4", 0), PathBounded(5))
+    assert not verdict.coverable
+    assert repr(verdict) == repr(wider)
+
+
+# chain model 10 of the fixed-topology benchmark suite: q9 is coverable on
+# a path of 3 edges, but on no graph of diameter 2 and degree 2
+CHAIN_10 = """process vass dim=1
+init q0 vector=(1)
+trans q0 -> q1 on ??c delta=(+1)
+trans q1 -> q2 on ??a delta=(+0)
+trans q2 -> q3 on ??a delta=(+1)
+trans q3 -> q4 on !!a delta=(+1)
+init q5 vector=(1)
+trans q5 -> q6 on ??c delta=(+0)
+trans q6 -> q7 on ??c delta=(+0)
+trans q7 -> q8 on !!c delta=(-1)
+trans q8 -> q9 on ??c delta=(+0)
+trans q5 -> q5 on !!d delta=(-1)
+trans q0 -> q7 on !!c delta=(-1)
+option complete-receives dead=qdead
+query cover state=q9 vector=(0) semantics=diam-deg:2,2,4
+"""
+
+
+def test_a_path_bounded_positive_leaves_diam_deg_to_the_shapes():
+    from bncover import parse_model
+
+    spec = parse_model(CHAIN_10).process
+    target = cfg("q9", 0)
+    assert static_coverable(spec, target, PathBounded(3)).coverable
+    verdict = static_coverable(spec, target, DiamDeg(2, 2, 4))
+    assert not verdict.coverable
+    assert repr(verdict) == repr(diam_deg_coverable(spec, target, 2, 2, 4))
+
+
+def test_a_wider_run_out_of_limits_leaves_diam_deg_to_the_shapes(relay):
+    # path-bounded:1 needs a second round for q2 (a receiver on an edge);
+    # the one shape of diam-deg:1,1,1, a lone vertex, is refuted in one
+    limits = ResourceLimits(max_iters=1)
+    with pytest.raises(ResourceExhausted):
+        static_coverable(relay, cfg("q2", 0), PathBounded(1), limits)
+    verdict = static_coverable(relay, cfg("q2", 0), DiamDeg(1, 1, 1), limits)
+    assert (verdict.coverable, verdict.iterations) == (False, 1)
+    assert repr(verdict) == repr(diam_deg_coverable(relay, cfg("q2", 0), 1, 1, 1, limits))
