@@ -128,9 +128,9 @@ def run_queries(
 
 def _load_model(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
     try:
@@ -153,6 +153,10 @@ def _write(path: str, text: str, what: str) -> bool:
 
 
 def _cmd_verify(args) -> int:
+    for flag, cap in (("--max-basis", args.max_basis), ("--max-iters", args.max_iters)):
+        if cap is not None and cap < 0:
+            print(f"error: {flag} must be nonnegative", file=sys.stderr)
+            return 1
     model = _load_model(args.model)
     if model is None:
         return 1

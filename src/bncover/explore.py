@@ -185,12 +185,13 @@ def explore(
     in a reconstructed run come on top).  Counter values above
     ``counter_cap`` (stack depth, for pushdown processes) are pruned, so a
     hit is still an exact positive while absence is only meaningful within
-    the bounds.  For the rewirable semantics the state space is the label
-    multiset: edges are materialized on demand as a star around each
-    broadcaster, which covers every useful edge set.  A fixed class is
-    searched shape by shape, with states deduped modulo the shape's
-    automorphisms; a class whose vertex cap is below ``n_nodes`` has no
-    shape to search.  A search that would record more than
+    the bounds.  A fixed class is searched shape by shape, with states
+    keyed modulo the shape's automorphisms; a class whose vertex cap is
+    below ``n_nodes`` has no shape to search.  The rewirable semantics
+    searches the edgeless shape, with edges materialized as a star around
+    each broadcaster (which covers every useful edge set), so its states
+    are keyed by their label multiset.  The roots are the initial
+    labellings of distinct keys.  A search that would record more than
     :data:`MAX_STATES` states raises :class:`ResourceExhausted`.
     """
     if n_nodes < 1:
@@ -204,28 +205,37 @@ def explore(
     def covers(labels) -> bool:
         return any(tle(target, c) for c in labels)
 
-    def search(roots, successors, key) -> Optional[list]:
-        return _search(roots, successors, key, covers, n_nodes, depth)
-
     if isinstance(semantics, Reconfigurable):
+        shapes = (Graph(n_nodes),)
         letters = [(a, Label.broadcast(a), Label.receive(a)) for a in spec.alphabet]
-        inits = sorted(spec.initial_configs(), key=_sort_key)
-        path = search(
-            itertools.combinations_with_replacement(inits, n_nodes),
-            lambda ms: _rewirable_steps(spec, ms, letters, counter_cap),
-            lambda ms: ms,
-        )
-        return None if path is None else _rewirable_run(path)
+
+        def successors(shape, labels: tuple):
+            return _rewirable_steps(spec, labels, letters, counter_cap)
+
+    else:
+        shapes = _fixed_shapes(semantics, n_nodes)
+
+        def successors(shape, labels: tuple):
+            theta = shape.labelled(labels)
+            for v in range(n_nodes):
+                for a in spec.alphabet:
+                    for succ in bn_step(spec, theta, v, a):
+                        if all(c.size <= counter_cap for c in succ.labels):
+                            yield succ.labels, (v, a, None)
 
     inits = sorted(set(spec.initial_configs()), key=_sort_key)
-    for shape in _fixed_shapes(semantics, n_nodes):
+    for shape in shapes:
         if len(shape.edges) in (0, n_nodes * (n_nodes - 1) // 2):
             # every permutation is an automorphism: the least image is the
-            # sorted labelling, found without building all n! of them
+            # sorted labelling, found without building all n! of them, and
+            # the roots are the sorted labellings alone
+            roots = itertools.combinations_with_replacement(inits, n_nodes)
+
             def canon(labels: tuple) -> tuple:
                 return tuple(sorted(labels, key=_sort_key))
 
         else:
+            roots = itertools.product(inits, repeat=n_nodes)
             autos = shape.automorphisms()
 
             def canon(labels: tuple) -> tuple:
@@ -234,17 +244,11 @@ def explore(
                     key=lambda t: tuple(c.sort_key for c in t),
                 )
 
-        def steps(labels: tuple):
-            theta = shape.labelled(labels)
-            for v in range(n_nodes):
-                for a in spec.alphabet:
-                    for succ in bn_step(spec, theta, v, a):
-                        if all(c.size <= counter_cap for c in succ.labels):
-                            yield succ.labels, (v, a)
-
-        path = search(itertools.product(inits, repeat=n_nodes), steps, canon)
+        path = _search(
+            roots, lambda labels: successors(shape, labels), canon, covers, n_nodes, depth
+        )
         if path is not None:
-            events = [(v, a, labels, None) for labels, (v, a) in path[1:]]
+            events = [(v, a, labels, edges) for labels, (v, a, edges) in path[1:]]
             return build_run(shape.labelled(path[0][0]), events)
     return None
 
@@ -265,6 +269,8 @@ def _search(roots, successors, key, covers, n, depth) -> Optional[list]:
         k = key(state)
         if k in parents:
             continue
+        if len(parents) >= MAX_STATES:
+            raise ResourceExhausted(f"state budget hit: {len(parents)} states on {n} nodes")
         parents[k] = (None, None, state)
         if covers(state):
             return _path(parents, k)
@@ -298,52 +304,29 @@ def _path(parents: dict, k) -> list:
     return path
 
 
-def _rewirable_steps(spec, ms, letters, cap):
-    """Successor multisets: one node broadcasts, any subset of
-    receive-capable others receives (the rest is simply left unlinked).
-    ``letters`` holds one ``(letter, !!letter, ??letter)`` triple per letter."""
-    tried = set()
-    for i, cfg in enumerate(ms):
-        if cfg in tried:
+def _rewirable_steps(spec, labels, letters, cap):
+    """Successor labellings: one node broadcasts and any subset of
+    receive-capable others receives.  The step's edges are the star from
+    the broadcaster to the receivers; the rest is left unlinked.
+    ``letters`` holds one ``(letter, !!letter, ??letter)`` triple per
+    letter; each step is ``(broadcaster, letter, edges)``."""
+    for i, cfg in enumerate(labels):
+        if labels.index(cfg) < i:  # an equal node reaches the same multisets
             continue
-        tried.add(cfg)
-        others = ms[:i] + ms[i + 1 :]
         for a, broadcast, receive in letters:
             for emitted in spec.successors(cfg, broadcast):
                 if emitted.size > cap:
                     continue
-                per_other = []
-                for o in others:
-                    opts = [(False, o)]
-                    opts.extend(
-                        (True, s) for s in spec.successors(o, receive) if s.size <= cap
-                    )
-                    per_other.append(opts)
+                per_other = [
+                    [(o, None)]
+                    + [(s, (min(i, j), max(i, j))) for s in spec.successors(o, receive) if s.size <= cap]
+                    for j, o in enumerate(labels)
+                    if j != i
+                ]
                 for choice in itertools.product(*per_other):
-                    succ = tuple(sorted([emitted] + [c for _, c in choice], key=_sort_key))
-                    yield succ, (i, a, emitted, choice)
-
-
-def _rewirable_run(path: list) -> Run:
-    """The run along a path of label multisets: each step's broadcaster
-    is linked to exactly the nodes that receive."""
-    node_cfgs = list(path[0][0])  # root multiset is already sorted
-    n = len(node_cfgs)
-    events = []
-    for _, (bi, letter, emitted, choice) in path[1:]:
-        # align node identities with the sorted multiset the step was computed on
-        order = sorted(range(n), key=lambda j: node_cfgs[j].sort_key)
-        bnode = order[bi]
-        others = order[:bi] + order[bi + 1 :]
-        node_cfgs[bnode] = emitted
-        receivers = []
-        for node, (took, cfg) in zip(others, choice):
-            if took:
-                node_cfgs[node] = cfg
-                receivers.append(node)
-        edges = frozenset((min(bnode, r), max(bnode, r)) for r in receivers)
-        events.append((bnode, letter, tuple(node_cfgs), edges))
-    return build_run(LabelledGraph(n, frozenset(), path[0][0]), events)
+                    succ = [c for c, _ in choice]
+                    succ.insert(i, emitted)
+                    yield tuple(succ), (i, a, frozenset(e for _, e in choice if e))
 
 
 def _fixed_shapes(cls, n: int) -> tuple[Graph, ...]:

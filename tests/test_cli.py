@@ -292,6 +292,30 @@ def test_cli_missing_file():
     assert main(["verify", "/nonexistent/never.bn"]) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["verify"],
+    ["explore", "--nodes", "2", "--depth", "1"],
+    ["replay", "--witness", "run.json"],
+])
+def test_a_model_file_that_is_not_utf8_is_a_read_error(tmp_path, capsys, command):
+    model = tmp_path / "latin.bn"
+    model.write_bytes(b"process finite\ninit s0\n# \xff\n")
+    assert main([command[0], str(model), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read {model}: ")
+    assert "utf-8" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--max-basis", "--max-iters"])
+def test_cli_verify_rejects_negative_limits(flag, capsys):
+    assert main(["verify", str(MODELS / "relay.bn"), flag, "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must be nonnegative\n"
+    assert captured.out == ""
+    assert main(["verify", str(MODELS / "relay.bn"), flag, "0"]) == 2
+
+
 def test_pushdown_model_verifies():
     assert main(["verify", str(MODELS / "handshake_pushdown.bn")]) == 0
 

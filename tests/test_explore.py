@@ -219,6 +219,17 @@ def test_the_state_budget_bounds_every_search(relay, monkeypatch):
     for semantics in (Reconfigurable(), PathBounded(2)):
         with pytest.raises(ResourceExhausted, match=r"^state budget hit: 5 states on 3 nodes$"):
             explore(relay, semantics, 3, 9, cfg("q4", 0))
+    # the roots count too: 7 label multisets on 6 nodes, and more than 5
+    # labellings of some 4-node shape
+    for semantics, n in ((Reconfigurable(), 6), (PathBounded(2), 4)):
+        with pytest.raises(ResourceExhausted, match=rf"^state budget hit: 5 states on {n} nodes$"):
+            explore(relay, semantics, n, 0, cfg("q4", 0))
+
+
+def test_cliques_start_from_the_distinct_label_multisets(relay):
+    # relay has two initial configurations: 41 multisets on 40 nodes, not
+    # 2**40 labellings
+    assert explore(relay, Clique(), 40, 0, cfg("q4", 0)) is None
 
 
 def test_cliques_are_keyed_without_building_their_automorphisms(counting, monkeypatch):
