@@ -20,9 +20,9 @@ from .graphs import (
     diameter,
     enumerate_diam_deg_graphs,
     enumerate_extensions,
-    enumerate_graphs,
     graph_embeds,
     graph_injections,
+    grow,
     in_class,
     max_degree,
     single_vertex,

@@ -23,8 +23,7 @@ from .graphs import (
     Reconfigurable,
     SelfLoopError,
     TopologyClass,
-    enumerate_graphs,
-    in_class,
+    grow,
 )
 from .order import ResourceExhausted
 from .vass import Label
@@ -335,4 +334,4 @@ def _fixed_shapes(cls, n: int) -> tuple[Graph, ...]:
         return (Graph.complete(n),)
     if isinstance(cls, DiamDeg) and cls.n_max is not None and cls.n_max < n:
         return ()
-    return tuple(g for g in enumerate_graphs(n) if in_class(g, cls))
+    return tuple(g for g in grow(cls, n) if g.n == n)

@@ -1,5 +1,5 @@
 """Undirected vertex-labelled graphs, the induced-subgraph embedding order,
-topology classes, and exhaustive enumeration of small graphs.
+topology classes, and small class members enumerated by vertex growth.
 
 An embedding of one labelled graph into another is an injection that
 preserves both edges and non-edges among the mapped vertices and sends
@@ -354,43 +354,58 @@ def in_class(shape: Graph, cls: TopologyClass) -> bool:
     raise TypeError(f"unknown topology class {cls!r}")
 
 
+def _attachments(shape: Graph, fits: Callable[[tuple[int, ...]], bool], first: int) -> Iterator[Graph]:
+    """``shape`` with the fresh vertex ``shape.n`` attached to each vertex
+    subset, in ascending bitmask order from ``first``, kept when ``fits``
+    accepts the grown adjacency bitmasks (the fresh vertex last).
+
+    ``fits`` must reject every superset of an attachment it rejects, as
+    path and degree bounds do: adding edges never shortens a path or
+    lowers a degree.  So once an attachment fails, every superset of it is
+    skipped untested.
+    """
+    fresh = shape.n
+    rejected: list[int] = []  # failed attachment masks, none a superset of another
+    for mask in range(first, 1 << fresh):
+        if any(mask & m == m for m in rejected):
+            continue
+        adj = [a | (mask >> v & 1) << fresh for v, a in enumerate(shape.adjacency)]
+        if not fits((*adj, mask)):
+            rejected.append(mask)
+            continue
+        extra = {(v, fresh) for v in range(fresh) if mask >> v & 1}
+        yield Graph(fresh + 1, shape.edges | extra)
+
+
+def _grown(shape: Graph, cls: TopologyClass) -> Iterator[Graph]:
+    """The attachments of a fresh vertex to the member ``shape`` of ``cls``
+    that can stay in the class.  Under a path bound only a path through the
+    fresh vertex can be too long.  Under ``diam-deg`` degrees are bounded
+    and the attachment is nonempty, so the graph stays connected; distances
+    shrink as vertices are added, so the diameter waits for the class test.
+    A clique takes only the full attachment."""
+    if isinstance(cls, PathBounded):
+        return _attachments(shape, lambda adj: not _path_exceeds(adj, cls.k, shape.n), 0)
+    if isinstance(cls, DiamDeg):
+        return _attachments(shape, lambda adj: all(a.bit_count() <= cls.d for a in adj), 1)
+    if isinstance(cls, Clique):
+        return _attachments(shape, lambda adj: True, (1 << shape.n) - 1)
+    raise TypeError(f"cannot grow graphs of class {cls}")
+
+
 def enumerate_extensions(shape: Graph, cls: TopologyClass) -> tuple[Graph, ...]:
     """Class members on one more vertex that keep ``shape`` induced on its
-    own vertices.
-
-    The fresh vertex (index ``shape.n``) is attached to every subset of the
-    old vertices, in ascending bitmask order, and the class filter keeps
-    the admissible results.  The clique class admits only the full
-    attachment; fixed-shape classes extend nothing.  Under a path bound,
-    ``shape`` is in the class, so only a path through the fresh vertex can
-    be too long; adding edges never shortens a path, so once an
-    attachment fails, every superset of it is skipped untested.
-    """
+    own vertices, in ascending order of the fresh vertex's attachment
+    bitmask.  Fixed-shape classes extend nothing."""
     if not in_class(shape, cls):
         raise ClassViolation(f"graph is not in class {cls}")
     if isinstance(cls, DiamDeg):
         return ()
-    if isinstance(cls, Clique):
-        extra = {(v, shape.n) for v in range(shape.n)}
-        return (Graph(shape.n + 1, shape.edges | extra),)
-    fresh = shape.n
-    too_long: list[int] = []  # failed attachment masks, none a superset of another
-    out = []
-    for mask in range(1 << fresh):
-        if isinstance(cls, PathBounded):
-            if any(mask & m == m for m in too_long):
-                continue
-            adj = [a | (mask >> v & 1) << fresh for v, a in enumerate(shape.adjacency)]
-            if _path_exceeds((*adj, mask), cls.k, fresh):
-                too_long.append(mask)
-                continue
-        extra = {(v, fresh) for v in range(fresh) if mask >> v & 1}
-        out.append(Graph(fresh + 1, shape.edges | extra))
-    return tuple(out)
+    return tuple(_grown(shape, cls))
 
 
 # ---------------------------------------------------------------------------
-# canonical forms and enumeration of small graphs
+# canonical forms and enumeration by growth
 
 
 def _refined_classes(g: Graph) -> list[list[int]]:
@@ -432,60 +447,34 @@ def canonical_form(g: Graph) -> tuple:
     return (g.n, best)
 
 
-def enumerate_graphs(n: int) -> tuple[Graph, ...]:
-    """Every graph on exactly ``n`` vertices, one per isomorphism class.
+def grow(cls: TopologyClass, n_max: int) -> tuple[Graph, ...]:
+    """Members of ``cls`` on 1 to ``n_max`` vertices, one per isomorphism
+    class, by vertex growth.
 
-    Exhausts all edge subsets, so only small ``n`` is supported.
-    """
-    if n > 6:
-        raise ResourceExhausted(f"exhaustive graph enumeration caps at 6 vertices, got {n}")
-    pairs = list(itertools.combinations(range(n), 2))
-    reps: dict[tuple, Graph] = {}
-    for mask in range(1 << len(pairs)):
-        g = Graph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
-        key = canonical_form(g)
-        if key not in reps:
-            reps[key] = g
-    return tuple(reps.values())
-
-
-def enumerate_diam_deg_graphs(k: int, d: int, n_max: int) -> tuple[Graph, ...]:
-    """Connected graphs up to isomorphism with at most ``n_max`` vertices,
-    diameter at most ``k``, and degree at most ``d``.
-
-    Grows levels by attaching a fresh vertex to nonempty vertex subsets.
-    Degrees never shrink under attachment, so the degree bound prunes
-    levels early; distances can shrink, so the diameter filter only
-    applies at collection time.
+    Every graph is a graph on one vertex fewer plus a vertex attached to a
+    subset, and path bounds, degree bounds and cliques are closed under
+    induced subgraphs; a connected graph keeps a vertex whose removal
+    leaves it connected.  So each level grows the one before it by
+    :func:`_grown` and keeps the first graph of each canonical form, and
+    the members are the graphs of each level that pass the class test.
     """
     if n_max < 1:
         raise ValueError("need room for at least one vertex")
     if n_max > 8:
-        raise ResourceExhausted(f"enumeration supports at most 8 vertices, got n_max={n_max}")
-    collected: dict[tuple, Graph] = {}
-
-    def collect(g: Graph):
-        if diameter(g) <= k:
-            collected.setdefault(canonical_form(g), g)
-
-    level = {canonical_form(Graph(1)): Graph(1)}
-    for g in level.values():
-        collect(g)
-    for _ in range(2, n_max + 1):
+        raise ResourceExhausted(f"graph enumeration supports at most 8 vertices, got {n_max}")
+    level: tuple[Graph, ...] = (Graph(1),)
+    members = [g for g in level if in_class(g, cls)]
+    for _ in range(n_max - 1):
         grown: dict[tuple, Graph] = {}
-        for g in level.values():
-            for mask in range(1, 1 << g.n):
-                if mask.bit_count() > d:
-                    continue
-                extra = {(v, g.n) for v in range(g.n) if mask >> v & 1}
-                h = Graph(g.n + 1, g.edges | extra)
-                if max_degree(h) > d:
-                    continue
-                key = canonical_form(h)
-                if key not in grown:
-                    grown[key] = h
-        level = grown
-        for g in level.values():
-            collect(g)
-    return tuple(collected.values())
+        for g in level:
+            for h in _grown(g, cls):
+                grown.setdefault(canonical_form(h), h)
+        level = tuple(grown.values())
+        members.extend(g for g in level if in_class(g, cls))
+    return tuple(members)
 
+
+def enumerate_diam_deg_graphs(k: int, d: int, n_max: int) -> tuple[Graph, ...]:
+    """Connected graphs up to isomorphism with at most ``n_max`` vertices,
+    diameter at most ``k``, and degree at most ``d``."""
+    return grow(DiamDeg(k, d, n_max), n_max)

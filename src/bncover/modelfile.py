@@ -101,7 +101,7 @@ _PROCESS_KINDS = {
     "pushdown": (("stack",), "stack=<symbols>", "write e.g. 'process pushdown stack=AB'"),
 }
 _TOKEN = re.compile(r"\S+")
-_INTEGER = re.compile(r"[+-]?\d+")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9'_.-]*$")
 _LABEL = re.compile(r"(!!|\?\?)[A-Za-z][A-Za-z0-9_]*$")
 
@@ -157,7 +157,7 @@ def _vector(entry, line, dim, length_of, nonnegative=None) -> tuple[int, ...]:
 
 def _number(entry, line, what) -> int:
     text, col = entry
-    if not re.fullmatch(r"\d+", text):
+    if not re.fullmatch(r"[0-9]+", text):
         raise ModelSyntaxError(f"{what} must be a number, got {text!r}", line, col)
     return int(text)
 
@@ -412,7 +412,7 @@ def _parse_semantics(entry, line: int) -> TopologyClass:
     name, colon, args = text.partition(":")
     cls, arity = _SEMANTICS.get(name, (None, -1))
     params = args.split(",") if colon else []
-    if len(params) != arity or not all(re.fullmatch(r"\d+", p) for p in params):
+    if len(params) != arity or not all(re.fullmatch(r"[0-9]+", p) for p in params):
         raise ModelSyntaxError(f"unknown semantics {text!r}", line, col, _SEMANTICS_REMEDY)
     values = [int(p) for p in params]
     if any(v < 1 for v in values):

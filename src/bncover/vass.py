@@ -293,13 +293,14 @@ def vass_pre_basis(spec: VassSpec, label: Label, basis: Sequence[VassConfig]) ->
     """Unminimized basis of the configurations with a ``label`` transition
     into the upward closure of ``basis``: per transition with update ``v``
     into the state of an element ``(q, u)``, its source with the least
-    firing counters ``max(u - v, -v, 0)`` componentwise."""
+    firing counters ``max(u - v, 0)`` componentwise."""
     out = []
     for t in spec.by_label.get(label, ()):
         for c in basis:
             if c.state != t.target:
                 continue
-            w = tuple(max(u - v, -v, 0) for u, v in zip(c.counters, t.delta))
+            # u - v >= -v, as basis counters are nonnegative: no -v term is needed
+            w = tuple(max(u - v, 0) for u, v in zip(c.counters, t.delta))
             out.append(VassConfig(t.source, w))
     return tuple(out)
 

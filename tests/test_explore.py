@@ -226,6 +226,18 @@ def test_the_state_budget_bounds_every_search(relay, monkeypatch):
             explore(relay, semantics, n, 0, cfg("q4", 0))
 
 
+def test_fixed_classes_grow_their_members_up_to_eight_nodes(relay, monkeypatch):
+    # path-bounded:1 has four graphs on 7 nodes, and diam-deg:2,1 none past
+    # two nodes, so neither search lists every graph on its node count
+    assert explore(relay, PathBounded(1), 7, 6, cfg("q4", 0)) is None
+    assert explore(relay, DiamDeg(2, 1, 8), 8, 6, cfg("q4", 0)) is None
+    with pytest.raises(ResourceExhausted, match=r"^graph enumeration supports at most 8 vertices, got 9$"):
+        explore(relay, PathBounded(1), 9, 6, cfg("q4", 0))
+    # a vertex cap below the node count leaves no shape, and grows none
+    monkeypatch.setattr(sys.modules["bncover.explore"], "grow", None)
+    assert explore(relay, DiamDeg(2, 2, 3), 4, 6, cfg("q4", 0)) is None
+
+
 def test_cliques_start_from_the_distinct_label_multisets(relay):
     # relay has two initial configurations: 41 multisets on 40 nodes, not
     # 2**40 labellings

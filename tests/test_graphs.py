@@ -18,9 +18,9 @@ from bncover import (
     diameter,
     enumerate_diam_deg_graphs,
     enumerate_extensions,
-    enumerate_graphs,
     graph_embeds,
     graph_injections,
+    grow,
     in_class,
     max_degree,
     single_vertex,
@@ -355,6 +355,12 @@ def test_path_bounded_extensions_equal_the_brute_force_filter():
         compared += 1
 
 
+def test_diam_deg_membership_bounds_the_degree():
+    # the star K1,3 has diameter 2 but a vertex of degree 3
+    assert in_class(star(3), DiamDeg(2, 3))
+    assert not in_class(star(3), DiamDeg(2, 2))
+
+
 def test_reconfigurable_accepts_everything():
     assert in_class(path(4), Reconfigurable())
 
@@ -386,9 +392,11 @@ def test_canonical_form_separates_non_isomorphic():
     assert canonical_form(cycle(4)) != canonical_form(Graph.complete(4))
 
 
-def test_enumerate_graphs_counts():
-    # graphs up to isomorphism on 1..5 vertices
-    assert [len(enumerate_graphs(n)) for n in range(1, 6)] == [1, 2, 4, 11, 34]
+def test_grow_counts_every_graph():
+    # graphs up to isomorphism on 1..6 vertices: no simple path on six
+    # vertices has more than five edges
+    graphs = grow(PathBounded(5), 6)
+    assert [sum(g.n == n for g in graphs) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
 
 
 def test_diameter_one_forces_cliques():

@@ -270,6 +270,20 @@ def _finite(line, text):
 
 
 
+@pytest.mark.parametrize("text, line, col, message", [
+    (_vass(2, "init s0 vector=(\u0661)"), 2, 9, "'\u0661' is not an integer"),
+    (_vass(3, "trans s0 -> s1 on !!x delta=(-\u0661)"), 3, 23, "'-\u0661' is not an integer"),
+    (_vass(4, "query cover state=s1 semantics=rbn max-iters=\u0663"),
+     4, 36, "max-iters must be a number, got '\u0663'"),
+    (_vass(4, "query cover state=s1 semantics=path-bounded:\u0663"),
+     4, 22, "unknown semantics 'path-bounded:\u0663'"),
+], ids=["vector", "delta", "number", "semantics"])
+def test_numbers_are_ascii_digits_only(text, line, col, message):
+    # Arabic-Indic digits are Unicode digits that int() reads
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(text)
+    assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
 # (id, text, class, line, col, message)
 _ERRORS = [
     ("kv-process-vass", _vass(1, "process vass dim"),
