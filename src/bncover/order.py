@@ -95,7 +95,10 @@ class Verdict:
     from an initially-covered configuration back to the queried target,
     where firing ``label`` from anything above ``config`` lands above the
     next chain entry.  Negative verdicts carry the saturated ``basis`` as
-    certificate together with the iteration count.
+    certificate together with the iteration count.  A counter-process
+    negative with 0 iterations ran no saturation: its basis is the target
+    alone, and its certificate is the process's reachable control states,
+    which the active transitions never leave.
     """
 
     coverable: bool

@@ -8,7 +8,9 @@ its own members (the methods ``leq``, ``initial_configs``,
 :class:`~bncover.pushdown.PushdownSpec`, and their shared base
 :class:`~bncover.vass.ProcessSpec`).  Only the coverability engine
 differs between them: :func:`coverable` picks it for one target, and
-:func:`coverable_each` for a batch of targets on one process.
+:func:`coverable_each` for a batch of targets on one process.  Counter
+targets whose control state is unreachable, counters ignored, are
+settled before any engine runs.
 """
 
 from __future__ import annotations
@@ -22,9 +24,13 @@ from .pushdown import PushdownSpec, pds_coverable, pds_saturate
 def coverable(spec, target, limits: Optional[ResourceLimits] = None) -> Verdict:
     """Coverability of ``target`` in the plain process transition system:
     automaton saturation for pushdown models, antichain saturation over the
-    spec itself for counter models."""
+    spec itself for counter models.  A counter target whose control state
+    is not in ``spec.control_reachable`` is negative with no saturation:
+    0 iterations, and the target as its basis."""
     if isinstance(spec, PushdownSpec):
         return pds_coverable(spec, target)
+    if target.state not in spec.control_reachable:
+        return Verdict(False, 0, (target,))
     return backward_coverability(spec, target, limits)
 
 

@@ -10,12 +10,14 @@ new; the final queries run against the accumulated process.  Each
 sweep's queries run against the process as it stood when the sweep began,
 so for pushdown processes one pre* saturation answers all of them
 (:func:`~bncover.process.coverable_each`); counter processes still run
-them one at a time.  The loop never looks at the target, so it runs once
+them one at a time, and answer a query whose control state the process
+cannot reach with no saturation at all: receives still locked leave
+many states unreachable.  The loop never looks at the target, so it runs once
 per process (:func:`rbn_unlock`) and every query on that process reuses
 it.  A caller that knows every target it will ask about on a process
 passes them as a batch, and their final queries are answered the same
-way: one saturation on pushdown processes, one per target, when it is
-asked, on counter processes.
+way: one saturation on pushdown processes, at most one per target, when
+it is asked, on counter processes.
 
 The same argument builds witness runs (:func:`rbn_witness`): a node
 follows the final query's chain, and each receive ``??a`` on it is served
@@ -144,11 +146,12 @@ def rbn_coverable(
     """Decide whether, in some rewirable network of ``spec`` processes, a
     node can reach a configuration dominating ``target``.
 
-    ``batch``, when given, holds ``target`` and every other target the
-    caller will ask about on ``spec`` under ``limits``: the first call
-    answers the final queries of all of them (see the module docstring),
-    and later calls with an equal batch look their answer up."""
-    trace, ask = _final(spec, batch or (target,), limits)
+    ``batch``, when given, holds the targets the caller will ask about on
+    ``spec`` under ``limits`` (``target`` is added when it is missing):
+    the first call answers the final queries of all of them (see the
+    module docstring), and later calls with an equal batch look their
+    answer up."""
+    trace, ask = _final(spec, batch if target in batch else batch + (target,), limits)
     return RbnResult(ask(target), trace)
 
 

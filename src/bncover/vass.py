@@ -257,6 +257,18 @@ class VassSpec(ProcessSpec):
             for state, vector in self.initial
         )
 
+    @cached_property
+    def control_reachable(self) -> frozenset[str]:
+        """Control states reachable from an initial state along the active
+        transitions, counters ignored.  No configuration in another state
+        is reachable.  Built once per spec, like ``by_label``."""
+        reached: set = set()
+        grown = {state for state, _ in self.initial}
+        while grown - reached:
+            reached |= grown
+            grown = {t.target for t in self.active_transitions() if t.source in reached}
+        return frozenset(reached)
+
     # these two call the module functions by name, so that wrapping the
     # functions (as bench/tracing.py does) also sees the method calls
     def successors(self, config: VassConfig, label: Label) -> tuple[VassConfig, ...]:

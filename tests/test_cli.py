@@ -154,6 +154,22 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert main(["verify", str(MODELS / "relay.bn"), "--max-iters", "1"]) == 2
 
 
+def test_an_unreachable_rbn_target_is_settled_within_any_limits(tmp_path, capsys):
+    # s3 has no incoming transition, so no saturation runs for it
+    model = tmp_path / "unreachable.bn"
+    model.write_text(
+        "process vass dim=1\ninit s0 vector=(1)\n"
+        "trans s0 -> s1 on !!a delta=(-1)\ntrans s1 -> s2 on ??a delta=(0)\n"
+        "trans s3 -> s2 on !!a delta=(0)\n"
+        "query cover state=s3 vector=(0) semantics=rbn max-iters=0\n"
+    )
+    out = tmp_path / "report.json"
+    assert main(["verify", str(model), "--report", str(out)]) == 0
+    assert "-> not-coverable" in capsys.readouterr().out
+    (result,) = report_from_json(out.read_text()).results
+    assert (result.iterations, result.basis_size) == (0, 1)
+
+
 def test_cli_verify_writes_report(tmp_path):
     out = tmp_path / "report.json"
     assert main(["verify", str(MODELS / "lone_receiver.bn"), "--report", str(out)]) == 0

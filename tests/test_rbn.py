@@ -9,6 +9,8 @@ from bncover import (
     ResourceExhausted,
     ResourceLimits,
     VassConfig,
+    VassSpec,
+    Verdict,
     WitnessExtractionFailed,
     backward_coverability,
     explore,
@@ -18,9 +20,10 @@ from bncover import (
     rbn_witness,
     replay,
     run_queries,
+    strip_receives,
     vass_leq,
 )
-from bncover import process, rbn
+from bncover import order, process, rbn
 from bncover.graphs import Reconfigurable
 from bncover.rbn import WITNESS_NODE_CAP, rbn_unlock
 
@@ -233,6 +236,60 @@ def test_limits_are_part_of_the_memo_key(relay):
     assert rbn_unlock.cache_info().currsize == 2
     with pytest.raises(ResourceExhausted):
         rbn_coverable(relay, cfg("q4", 0), ResourceLimits(max_basis=1))
+
+
+@pytest.mark.parametrize("name, target, batch", [
+    ("relay.bn", cfg("q4", 0), (cfg("q5", 0), cfg("q1", 0))),
+    ("handshake_pushdown.bn", PdsConfig("stuck"), (PdsConfig("done"),)),
+])
+def test_a_batch_without_its_target_still_answers_it(name, target, batch):
+    spec = parse_model((MODELS / name).read_text()).process
+    forget_rbn()
+    alone = rbn_coverable(spec, target)
+    forget_rbn()
+    assert rbn_coverable(spec, target, batch=batch) == alone
+    assert rbn_coverable(spec, batch[0], batch=batch) == rbn_coverable(spec, batch[0])
+
+
+# -- control-state reachability settles counter queries ------------------------
+
+
+def test_a_target_in_an_unreachable_state_runs_no_saturation(relay, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a saturation ran")
+
+    # process.coverable calls the name it imported from order
+    monkeypatch.setattr(order, "backward_coverability", refuse)
+    monkeypatch.setattr(process, "backward_coverability", refuse)
+    target = cfg("q7", 3)  # only q6 -??a-> q7 enters q7
+    assert process.coverable(strip_receives(relay), target) == Verdict(False, 0, (target,))
+
+
+def test_the_relaxation_changes_no_rbn_verdict_or_trace(monkeypatch):
+    rng = random.Random(113)
+    cases = []
+    for _ in range(60):
+        spec = random_vass(rng, max_states=5, max_trans=10, letters="abc")
+        for state in spec.states:
+            vector = tuple(rng.choice((0, 1)) for _ in range(spec.dim))
+            cases.append((spec, VassConfig(state, vector)))
+    forget_rbn()
+    relaxed = [rbn_coverable(spec, target) for spec, target in cases]
+    settled = sum(not r.coverable and r.verdict.iterations == 0 for r in relaxed)
+    assert settled >= 20
+
+    every_state = property(lambda spec: frozenset(spec.states))
+    monkeypatch.setattr(VassSpec, "control_reachable", every_state)
+    forget_rbn()
+    for (spec, target), result in zip(cases, relaxed):
+        plain = rbn_coverable(spec, target)
+        assert plain.trace == result.trace and plain.trace.chains == result.trace.chains
+        assert plain.coverable == result.coverable, (spec, target)
+        if result.coverable or result.verdict.iterations:
+            assert plain.verdict == result.verdict, (spec, target)
+        else:
+            assert result.verdict == Verdict(False, 0, (target,)), (spec, target)
+    forget_rbn()  # the memos hold results of the switched-off relaxation
 
 
 # -- witnesses composed from the unlocking chains ------------------------------

@@ -170,6 +170,14 @@ def test_strip_leaves_only_broadcasts(relay):
     assert {t.label.letter for t in active} == {"a", "b", "c", "d"}
 
 
+def test_control_reachable_follows_the_active_transitions(relay):
+    # q7 is entered only by q6 -??a-> q7
+    stripped = strip_receives(relay)
+    assert stripped.control_reachable == {"q0", "q1", "q6"}
+    assert "q7" in add_receives(stripped, "a").control_reachable
+    assert relay.control_reachable == set(relay.states)
+
+
 def test_add_receives_idempotent(relay):
     stripped = strip_receives(relay)
     once = add_receives(stripped, "b")
